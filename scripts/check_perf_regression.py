@@ -8,7 +8,7 @@ Usage::
         [--decision-floor 5.0] [--epoch-floor 2.0] [--collate-floor 2.0] \
         [--ensemble-floor 0.8] [--throughput-floor 1.0] \
         [--candidate-collation-floor 2.0] [--train-floor 1.3] \
-        [--backend-floor 0.7] [--tolerance 1e-9]
+        [--tolerance 1e-9]
 
 Compares a freshly measured benchmark JSON against the committed
 baseline and **fails (exit 1)** when
@@ -32,9 +32,7 @@ baseline and **fails (exit 1)** when
 * the stacked K-member training engine regresses below
   ``--train-floor`` against the sequential member loop, its per-member
   loss trajectories stop being bitwise identical to the sequential
-  reference (the delta must be 0.0), its final parameters diverge, or
-  a pooled ``fit`` (nightly, pool size 2) stops matching the
-  single-process shard math,
+  reference (the delta must be 0.0), or its final parameters diverge,
 * the fast path stops being numerically equivalent to the slow-path
   replicas (``max_abs_delta`` > ``--tolerance``, decisions disagree, or
   the recorded equivalence verdict is False),
@@ -52,13 +50,7 @@ baseline and **fails (exit 1)** when
   serving loop exceeds ``--service-p99-ms``, or
 * float32 inference drifts beyond the tolerance recorded in the
   benchmark itself (``float32_tolerance`` of ``ensemble_batched`` /
-  ``decision_throughput``), or a float32 wave flips a decision, or
-* the opt-in threaded-BLAS compute backend regresses below
-  ``--backend-floor`` (parity-ish by default — a single-core runner
-  cannot win from extra BLAS threads; multi-core builds target >= 2x),
-  drifts beyond the tolerance the backend itself documents
-  (``tolerance`` of the ``backend`` entry), or flips a chosen
-  placement.
+  ``decision_throughput``), or a float32 wave flips a decision.
 
 The baseline is used for drift *reporting*: every metric is printed as
 ``fresh vs baseline`` so a regression that still clears the floor is
@@ -81,8 +73,7 @@ def _speedup(results: dict, section: str) -> float:
 # any non-zero counter here means the pool misclassified healthy work.
 _HEALTH_MUST_BE_ZERO = ("retries", "crashes", "timeouts",
                         "corrupt_shards", "restarts", "degraded_shards",
-                        "degraded_waves", "degraded_grad_steps",
-                        "reports")
+                        "degraded_waves", "reports")
 
 # The benchmark never mutates its clusters, so the attached
 # ClusterMonitor must stay completely quiet: a non-zero counter means
@@ -123,11 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     # the Amdahl cap); the floor guards the amortization win, not the
     # aspiration.
     parser.add_argument("--train-floor", type=float, default=1.3)
-    # Parity-ish by default: on a single-core runner the opt-in
-    # threaded-BLAS backend can only lose a little to scheduling
-    # overhead; the >= 2x wave target applies to multi-core builds
-    # (PERFORMANCE.md section 17).  CI derates this further.
-    parser.add_argument("--backend-floor", type=float, default=0.7)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     # Generous by default: hosted CI shares noisy cores, so the gate
     # only catches order-of-magnitude stalls; the nightly passes a
@@ -150,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         "candidate_collation": args.candidate_collation_floor,
         "ensemble_batched": args.ensemble_floor,
         "ensemble_train": args.train_floor,
-        "backend": args.backend_floor,
     }
     failures: list[str] = []
 
@@ -252,35 +237,6 @@ def main(argv: list[str] | None = None) -> int:
         if not train.get("params_equal", False):
             failures.append("stacked training final parameters diverge "
                             "from the sequential member loop")
-        train_pool = train.get("pool")
-        if train_pool is not None:
-            if not train_pool.get("matches_single_process", False):
-                failures.append("pool-sharded fit diverges from the "
-                                "single-process shard math")
-            if "health" in train_pool:
-                _check_health(train_pool["health"], "train pool",
-                              failures)
-
-    backend = fresh.get("backend", {})
-    if not backend:
-        failures.append("fresh results lack the backend entry")
-    else:
-        backend_delta = float(backend.get("max_rel_delta",
-                                          float("inf")))
-        backend_budget = float(backend.get("tolerance", 0.0))
-        print(f"  backend              {backend.get('backend', '?')} "
-              f"rel delta={backend_delta:.2e} "
-              f"(tolerance {backend_budget:.0e}, applied="
-              f"{backend.get('threads_applied', False)}) "
-              f"{'ok' if backend_delta <= backend_budget else 'FAIL'}")
-        if backend_delta > backend_budget:
-            failures.append(
-                f"threaded-backend wave rel delta {backend_delta:.2e} "
-                f"exceeds its documented tolerance "
-                f"{backend_budget:.0e}")
-        if not backend.get("decisions_agree", False):
-            failures.append("threaded-backend wave flipped a chosen "
-                            "placement")
 
     throughput = fresh.get("decision_throughput", {})
     if not throughput:

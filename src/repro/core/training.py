@@ -157,23 +157,15 @@ class CostModel:
     def fit(self, graphs: list[QueryGraph], labels: np.ndarray,
             val_graphs: list[QueryGraph] | None = None,
             val_labels: np.ndarray | None = None,
-            epochs: int | None = None, pool=None,
-            schedule=None, checkpoint_path=None,
-            checkpoint_every: int = 1, resume: bool = False,
+            epochs: int | None = None, schedule=None,
+            checkpoint_path=None, checkpoint_every: int = 1,
+            resume: bool = False,
             on_epoch_end=None) -> TrainingHistory:
         """Train until convergence or the epoch budget is exhausted.
 
-        ``pool`` (a :class:`repro.serving.WorkerPool`) opts in to
-        sharding each mini-batch's gradient computation across worker
-        processes (:func:`repro.serving.sharded_loss_and_grad`):
-        deterministic for a fixed pool size, equal to the unsharded
-        step up to float64 round-off, and falling back to the taped
-        single-process path for configurations without a manual step.
-
         ``schedule`` (a :class:`repro.training.BatchSchedule`) replaces
         the member-seeded RNG draws — train/val split and per-epoch
-        shuffles — with a shared, cached source, and serves each
-        mini-batch's collation from the schedule's cache.  This is how
+        shuffles — with a shared, cached source.  This is how
         K ensemble members train comparably: the same ``fit`` loop
         under one schedule is the sequential reference the stacked
         trainer (:class:`repro.training.StackedTrainer`) is bitwise
@@ -238,10 +230,6 @@ class CostModel:
         # dropout, the traditional scheme and legacy kernels fall back
         # to the taped autodiff path.  Both are bitwise identical.
         loss_kind = resolve_loss_kind(self.config, self.is_regression)
-
-        if pool is not None:
-            # Imported here: repro.serving builds on repro.core.
-            from ..serving.pool import sharded_loss_and_grad
 
         checkpointing = checkpoint_path is not None
         if checkpointing:
@@ -339,21 +327,6 @@ class CostModel:
             manual_step = self.network.supports_manual_step()
             for start in range(0, len(order), self.config.batch_size):
                 rows = order[start:start + self.config.batch_size]
-                if pool is not None and manual_step and len(rows) > 1:
-                    # Pool-sharded gradient step: one collation and one
-                    # loss_and_grad per shard, combined by graph count.
-                    shards = [rows[part]
-                              for part in pool.shard_indices(len(rows))]
-                    pairs = [(collate([graphs[i] for i in shard]),
-                              labels[shard]) for shard in shards]
-                    optimizer.zero_grad()
-                    loss_value = sharded_loss_and_grad(
-                        self.network, pairs, loss_kind, pool)
-                    clip_grad_norm(parameters, self.config.grad_clip)
-                    optimizer.step()
-                    epoch_loss += loss_value
-                    n_batches += 1
-                    continue
                 batch = (collate([graphs[i] for i in rows])
                          if schedule is None
                          else schedule.train_batch(graphs, rows))

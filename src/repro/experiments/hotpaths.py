@@ -30,7 +30,6 @@ from ..data.collection import BenchmarkCollector
 from ..hardware.cluster import Cluster, sample_cluster
 from ..nn import Adam, clip_grad_norm, float32_inference
 from ..nn.autodiff import legacy_kernels
-from ..nn.backend import ThreadedBlasBackend, compute_backend
 from ..core.costream import Costream
 from ..core.dataset import GraphDataset
 from ..core.ensemble import MetricEnsemble
@@ -520,73 +519,6 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
     return result
 
 
-def _bench_backend(scale: ExperimentScale, repeats: int,
-                   n_requests: int) -> dict:
-    """Opt-in threaded-BLAS backend vs the default numpy kernels.
-
-    Runs the same mega-batched decision wave once per backend: the
-    default backend (bitwise-pinned numpy — its deltas are already
-    gated to 0.0 by the other entries) and the opt-in
-    ``threads:N`` :class:`repro.nn.backend.ThreadedBlasBackend`, which
-    carries its own documented tolerance.  The threaded wave must stay
-    within that tolerance of the default wave at the per-candidate
-    objective level and never flip a chosen placement.  The speedup
-    floor is parity-ish by default: on a single-core runner threading
-    cannot win (``cpu_count`` is recorded so the number can be read in
-    context); the >= 2x wave target applies to multi-core builds.
-    """
-    import os
-
-    model = _throughput_model(scale)
-    batcher = DecisionBatcher(model, objective="processing_latency")
-    requests = _throughput_requests(scale, n_requests)
-    candidates = [batcher._candidates_for(request)
-                  for request in requests]
-
-    default_values, default_feasible, _ = batcher.score_wave(requests,
-                                                             candidates)
-    default_decisions = batcher.decide(requests)
-
-    threads = max(2, min(4, os.cpu_count() or 1))
-    backend = ThreadedBlasBackend(threads)
-    with compute_backend(backend):
-        batcher.decide(requests)  # warm the threaded pool, off-clock
-        threaded_values, threaded_feasible, _ = batcher.score_wave(
-            requests, candidates)
-        threaded_decisions = batcher.decide(requests)
-    rel_delta = float(np.max(np.abs(threaded_values - default_values)
-                             / (np.abs(default_values) + 1e-9)))
-    agree = bool(
-        np.array_equal(threaded_feasible, default_feasible)
-        and all(threaded.placement == default.placement
-                for threaded, default in zip(threaded_decisions,
-                                             default_decisions)))
-
-    def run_threaded():
-        with compute_backend(backend):
-            batcher.decide(requests)
-
-    batcher.decide(requests)  # warm default path, off-clock
-    threaded_s, default_s = _interleaved(
-        run_threaded, lambda: batcher.decide(requests), repeats)
-    return {
-        "backend": backend.name,
-        "threads": threads,
-        "effective_threads": int(backend.effective_threads),
-        "threads_applied": bool(backend.threads_applied),
-        "cpu_count": int(os.cpu_count() or 1),
-        "n_requests": n_requests,
-        "threaded_s_per_decision": threaded_s / n_requests,
-        "default_s_per_decision": default_s / n_requests,
-        "speedup": default_s / max(threaded_s, 1e-12),
-        "max_rel_delta": rel_delta,
-        "tolerance": backend.tolerance,
-        "decisions_agree": agree,
-        "within_tolerance": bool(rel_delta <= backend.tolerance
-                                 and agree),
-    }
-
-
 def _bench_churn_repair(scale: ExperimentScale, repeats: int,
                         n_events: int) -> dict:
     """Incremental repair vs full re-placement after a host failure.
@@ -821,8 +753,7 @@ def _bench_epoch(dataset: GraphDataset, scale: ExperimentScale,
 
 
 def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
-                          n_epochs: int, repeats: int = 3,
-                          pool_size: int = 0) -> dict:
+                          n_epochs: int, repeats: int = 3) -> dict:
     """Stacked K-member training vs the sequential member loop.
 
     Both sides train the same K freshly initialized members on the
@@ -840,11 +771,6 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
     mini-batch instead of K.  Equivalence is asserted bitwise:
     per-member train/val loss trajectories must be identical (delta
     0.0) and the final parameters must match array-for-array.
-
-    ``pool_size > 0`` additionally runs one pool-sharded
-    ``CostModel.fit`` on a fork-backed pool and on the serial fallback
-    (the same shard math in-process): both must produce bitwise-equal
-    loss trajectories — the nightly's pooled-training gate.
     """
     graphs, labels = dataset.metric_view("processing_latency")
     size = 3
@@ -896,7 +822,7 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
                                            slow_state[key])
                             for key in slow_state)
 
-    result = {
+    return {
         "ensemble_size": size,
         "n_graphs": len(graphs),
         "n_epochs": n_epochs,
@@ -907,24 +833,6 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
         "histories_equal": bool(histories_equal),
         "params_equal": bool(params_equal),
     }
-    if pool_size > 0:
-        pooled_histories = {}
-        pooled_health = {}
-        for label, serial in (("serial", True), ("fork", False)):
-            with WorkerPool(processes=pool_size, serial=serial) as pool:
-                model = CostModel("processing_latency", config=config,
-                                  seed=0)
-                pooled_histories[label] = list(
-                    model.fit(graphs, labels, pool=pool).train_loss)
-                pooled_health[label] = pool.health.as_dict()
-        result["pool"] = {
-            "processes": pool_size,
-            "matches_single_process": bool(
-                pooled_histories["fork"] == pooled_histories["serial"]),
-            # No-fault training must never take the degraded path.
-            "health": pooled_health["fork"],
-        }
-    return result
 
 
 def run_hotpath_benchmarks(scale_name: str | None = None,
@@ -958,10 +866,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
         scale, repeats=sizes["repeats"] + 3, n_requests=sizes["wave"],
         pool_size=pool_size)
     gc.collect()
-    backend_result = _bench_backend(scale,
-                                    repeats=sizes["repeats"] + 3,
-                                    n_requests=sizes["wave"])
-    gc.collect()
     collation_result = _bench_candidate_collation(
         scale, repeats=max(sizes["repeats"] * 4, 10))
     gc.collect()
@@ -985,8 +889,7 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
     gc.collect()
     train_result = _bench_ensemble_train(dataset, scale,
                                          n_epochs=sizes["epochs"],
-                                         repeats=sizes["repeats"] + 1,
-                                         pool_size=pool_size)
+                                         repeats=sizes["repeats"] + 1)
 
     max_delta = max(decision_result["max_abs_prediction_delta"],
                     epoch_result["max_abs_train_loss_delta"],
@@ -1013,7 +916,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
         "candidate_collation": collation_result,
         "placement_decision": decision_result,
         "decision_throughput": throughput_result,
-        "backend": backend_result,
         "churn_repair": churn_result,
         "ensemble_batched": ensemble_result,
         "epoch": epoch_result,
@@ -1028,8 +930,7 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
             "float32_tolerance": FLOAT32_TOLERANCE,
             "pass": bool(max_delta <= EQUIVALENCE_TOLERANCE
                          and decisions_agree
-                         and float32_ok
-                         and backend_result["within_tolerance"]),
+                         and float32_ok),
         },
         # The floors the nightly gate enforces at small scale.  The
         # decision-throughput floor is parity: the wave's amortization
@@ -1047,11 +948,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
             # PERFORMANCE.md training section), floored with noise
             # headroom like the decision-wave entry.
             "ensemble_train_speedup": 1.3,
-            # Parity-ish floor for the opt-in threaded backend: on a
-            # single-core runner the extra BLAS threads can only lose
-            # a little to scheduling overhead; the >= 2x wave target
-            # applies to multi-core builds (PERFORMANCE.md section 17).
-            "backend_wave_speedup": 0.7,
         },
     }
 

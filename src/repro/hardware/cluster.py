@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..config import HardwareRanges, default_hardware_ranges
@@ -84,8 +86,9 @@ class Cluster:
                              ("ram_factor", ram_factor),
                              ("bandwidth_factor", bandwidth_factor),
                              ("latency_factor", latency_factor)):
-            if factor <= 0:
-                raise ValueError(f"{name} must be positive, got {factor}")
+            if not (math.isfinite(factor) and factor > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {factor}")
         old = self._nodes[node_id]
         new = HardwareNode(
             node_id=node_id,

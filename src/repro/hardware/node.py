@@ -9,6 +9,7 @@ Mbit/s, and outgoing network latency in ms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,15 @@ class HardwareNode:
     latency_ms: float        # outgoing network latency
 
     def __post_init__(self):
-        if self.cpu <= 0:
-            raise ValueError("cpu must be positive")
-        if self.ram_mb <= 0:
-            raise ValueError("ram must be positive")
-        if self.bandwidth_mbits <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_ms < 0:
-            raise ValueError("latency must be non-negative")
+        # NaN fails every comparison, so ``<= 0`` checks let it in.
+        for name in ("cpu", "ram_mb", "bandwidth_mbits"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
+            raise ValueError(f"latency_ms must be non-negative and "
+                             f"finite, got {self.latency_ms}")
 
     def features(self) -> dict[str, float]:
         return {"cpu": self.cpu, "ram_mb": self.ram_mb,

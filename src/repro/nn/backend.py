@@ -4,52 +4,31 @@ Every hot kernel of the cost-model stack — the 2-D and batched-3-D
 GEMMs, the fused affine/MLP forwards, the bincount scatter-adds, and
 the Adam/clip inner arithmetic — dispatches through the *active
 backend*, a small object exposing one method per kernel.  The default
-:class:`NumpyBackend` implements each kernel with exactly the numpy
+:class:`ComputeBackend` implements each kernel with exactly the numpy
 expression the call sites used before the dispatch layer existed, so
 the default path is **bitwise identical** to the pre-backend code
-(``tolerance = 0.0``, pinned by the equivalence bench).
+(pinned by the equivalence bench).
 
-Opt-in backends mirror :class:`repro.nn.float32_inference`: they are
-selected through a context manager (:class:`compute_backend`) or the
-``REPRO_BACKEND`` environment variable, and each carries its own
-documented numeric ``tolerance`` that the bench suite and
-``check_perf_regression.py`` validate against the default path.
+A subclass overrides any subset of the kernels and is installed with
+the :class:`compute_backend` context manager, which mirrors
+:class:`repro.nn.float32_inference`.  perfbench's ``TimingBackend``
+times every kernel this way::
 
-Shipped backends::
-
-    numpy        the default; reference numpy kernels, bitwise-pinned.
-    threads:N    ThreadedBlasBackend: identical kernels, but raises the
-                 BLAS thread count to N while active (restored on
-                 exit; capped at os.cpu_count() — oversubscribed
-                 OpenBLAS threads spin-wait and thrash rather than
-                 idle).  On OpenBLAS the threaded GEMM accumulates
-                 partial sums per output tile in a fixed order, so
-                 results are bitwise identical to single-threaded runs
-                 on this build; the documented tolerance (1e-7
-                 relative) budgets for other BLAS implementations
-                 whose threaded split may reorder the reduction.
-
-Example::
-
-    with compute_backend("threads:4"):
-        decisions = batcher.decide(requests)   # threaded-BLAS wave
+    with compute_backend(TimingBackend(tracer)):
+        decisions = batcher.decide(requests)
 
 The selection is a per-process global (like the ``float32_inference``
-dtype), so :class:`repro.serving.pool.WorkerPool` forwards the active
-spec into forked workers explicitly.
+dtype).  Forked :class:`repro.serving.pool.WorkerPool` workers keep
+the backend that was active when they forked.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ComputeBackend", "NumpyBackend", "ThreadedBlasBackend",
-           "active_backend", "compute_backend", "resolve_backend",
-           "active_backend_spec"]
+__all__ = ["ComputeBackend", "active_backend", "compute_backend"]
 
 
 class ComputeBackend:
@@ -59,21 +38,6 @@ class ComputeBackend:
     dispatch layer — subclasses may substitute faster implementations,
     but the base class *is* the bitwise-pinned reference.
     """
-
-    #: Spec string identifying the backend (``resolve_backend`` input).
-    name = "numpy"
-    #: Maximum relative deviation from the reference kernels this
-    #: backend is allowed (0.0 = bitwise-pinned).
-    tolerance = 0.0
-
-    # ------------------------------------------------------------------
-    # Lifecycle: called when the backend becomes / stops being active.
-    # ------------------------------------------------------------------
-    def apply(self) -> None:
-        """Take effect (e.g. raise BLAS thread count)."""
-
-    def release(self) -> None:
-        """Undo :meth:`apply` (restore previous process state)."""
 
     # ------------------------------------------------------------------
     # GEMM kernels
@@ -197,121 +161,7 @@ class ComputeBackend:
         param -= s1
 
 
-#: The default backend instance (module-level so ``is`` checks work).
-NumpyBackend = ComputeBackend
-
-
-# ----------------------------------------------------------------------
-# BLAS thread control (OpenBLAS via ctypes; graceful no-op elsewhere)
-# ----------------------------------------------------------------------
-#: Lazily resolved ``(set_num_threads, get_num_threads)`` pair, or
-#: ``False`` once lookup failed (so we only scan /proc/self/maps once).
-_BLAS_CONTROL: list = [None]
-
-#: Symbol-name candidates: scipy-openblas builds (what numpy wheels
-#: bundle) prefix and suffix the standard OpenBLAS names.
-_BLAS_SYMBOLS = ("openblas_set_num_threads",
-                 "openblas_set_num_threads64_",
-                 "scipy_openblas_set_num_threads",
-                 "scipy_openblas_set_num_threads64_")
-
-
-def _blas_thread_control():
-    """Locate the loaded BLAS's thread-control functions, once.
-
-    numpy is imported at module load, so its BLAS shared object is
-    already mapped; scanning ``/proc/self/maps`` finds it without
-    guessing wheel-specific file names.  Returns ``(set_fn, get_fn)``
-    or ``None`` when no controllable BLAS is loaded (e.g. a
-    reference-BLAS build) — the threaded backend then degrades to the
-    reference kernels.
-    """
-    if _BLAS_CONTROL[0] is not None:
-        return _BLAS_CONTROL[0] or None
-    control = None
-    try:
-        with open("/proc/self/maps") as handle:
-            maps = handle.read()
-    except OSError:
-        maps = ""
-    paths = sorted({line.split()[-1] for line in maps.splitlines()
-                    if "openblas" in line.lower()
-                    and line.split()[-1].startswith("/")})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # pragma: no cover - unloadable mapping
-            continue
-        for set_name in _BLAS_SYMBOLS:
-            get_name = set_name.replace("set_num", "get_num")
-            set_fn = getattr(lib, set_name, None)
-            get_fn = getattr(lib, get_name, None)
-            if set_fn is not None and get_fn is not None:
-                set_fn.argtypes = [ctypes.c_int]
-                set_fn.restype = None
-                get_fn.argtypes = []
-                get_fn.restype = ctypes.c_int
-                control = (set_fn, get_fn)
-                break
-        if control is not None:
-            break
-    _BLAS_CONTROL[0] = control if control is not None else False
-    return control
-
-
-class ThreadedBlasBackend(ComputeBackend):
-    """Reference kernels on a raised BLAS thread count.
-
-    The kernels are inherited unchanged — the speedup comes from
-    letting the BLAS split each GEMM across ``threads`` cores while
-    the backend is active.  The applied count is capped at
-    ``os.cpu_count()`` (:attr:`effective_threads`): OpenBLAS worker
-    threads spin-wait, so oversubscribing physical cores does not
-    degrade gracefully — a 2-thread GEMM on a 1-core machine measured
-    ~6x *slower* than single-threaded, while the capped backend stays
-    at parity.  When the loaded BLAS exposes no thread control, the
-    backend still works and simply matches the reference timings;
-    :attr:`threads_applied` records whether the (capped) thread count
-    actually took effect so the bench entry can report honestly.
-    """
-
-    tolerance = 1e-7
-
-    def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError(f"thread count must be >= 1, got {threads}")
-        self.threads = int(threads)
-        #: The count ``apply`` actually sets: never more threads than
-        #: physical cores (spin-waiting BLAS threads thrash when
-        #: oversubscribed, they do not merely idle).
-        self.effective_threads = max(1, min(self.threads,
-                                            os.cpu_count() or 1))
-        self.name = f"threads:{self.threads}"
-        self.threads_applied = False
-        self._previous: int | None = None
-
-    def apply(self) -> None:
-        control = _blas_thread_control()
-        if control is None:
-            self.threads_applied = False
-            return
-        set_fn, get_fn = control
-        self._previous = int(get_fn())
-        set_fn(self.effective_threads)
-        self.threads_applied = int(get_fn()) == self.effective_threads
-
-    def release(self) -> None:
-        control = _blas_thread_control()
-        if control is not None and self._previous is not None:
-            control[0](self._previous)
-        self._previous = None
-
-
-# ----------------------------------------------------------------------
-# Active-backend selection (context manager + env var)
-# ----------------------------------------------------------------------
-_DEFAULT_BACKEND = ComputeBackend()
-_ACTIVE_BACKEND = [_DEFAULT_BACKEND]
+_ACTIVE_BACKEND = [ComputeBackend()]
 
 
 def active_backend() -> ComputeBackend:
@@ -319,68 +169,27 @@ def active_backend() -> ComputeBackend:
     return _ACTIVE_BACKEND[0]
 
 
-def active_backend_spec() -> str:
-    """Spec string of the active backend (``resolve_backend`` input).
-
-    Worker pools forward this into forked workers so pooled waves run
-    the same backend the parent selected (mirrors how the inference
-    dtype is forwarded).
-    """
-    return _ACTIVE_BACKEND[0].name
-
-
-def resolve_backend(spec) -> ComputeBackend:
-    """Turn a spec (``"numpy"``, ``"threads:N"``, instance) into a
-    backend instance."""
-    if isinstance(spec, ComputeBackend):
-        return spec
-    if spec is None:
-        return _DEFAULT_BACKEND
-    text = str(spec).strip().lower()
-    if text in ("", "numpy", "default"):
-        return _DEFAULT_BACKEND
-    if text.startswith("threads:"):
-        try:
-            threads = int(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"invalid thread count in backend spec {spec!r}")
-        return ThreadedBlasBackend(threads)
-    raise ValueError(f"unknown compute backend spec {spec!r}; expected "
-                     f"'numpy' or 'threads:N'")
-
-
 class compute_backend:
-    """Context manager selecting the compute backend.
+    """Context manager installing a :class:`ComputeBackend` instance.
 
     Mirrors :class:`repro.nn.float32_inference`: the selection is a
-    per-process global, nesting restores the previous backend on exit,
-    and :meth:`ComputeBackend.apply` / ``release`` bracket the active
-    window (so e.g. the BLAS thread count is restored even on error).
+    per-process global, and nesting restores the previous backend on
+    exit, even on error::
 
-    Accepts a spec string or a backend instance::
-
-        with compute_backend("threads:4"):
+        with compute_backend(MyBackend()):
             ...
     """
 
-    def __init__(self, spec="numpy"):
-        self.backend = resolve_backend(spec)
+    def __init__(self, backend: ComputeBackend):
+        if not isinstance(backend, ComputeBackend):
+            raise TypeError(f"expected a ComputeBackend instance, got "
+                            f"{type(backend).__name__}")
+        self.backend = backend
 
     def __enter__(self) -> ComputeBackend:
         self._prev = _ACTIVE_BACKEND[0]
         _ACTIVE_BACKEND[0] = self.backend
-        self.backend.apply()
         return self.backend
 
     def __exit__(self, *exc) -> None:
-        self.backend.release()
         _ACTIVE_BACKEND[0] = self._prev
-
-
-# ``REPRO_BACKEND=threads:4 python ...`` opts the whole process in
-# without touching call sites (the CI nightly lane uses this).
-_env_spec = os.environ.get("REPRO_BACKEND", "").strip()
-if _env_spec:
-    _ACTIVE_BACKEND[0] = resolve_backend(_env_spec)
-    _ACTIVE_BACKEND[0].apply()

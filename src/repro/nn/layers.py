@@ -114,11 +114,6 @@ class Linear(Module):
 
         return Tensor._make(out_data, (x, weight, bias), backward)
 
-    def forward_array(self, x):
-        """Inference-only fast path on a raw ndarray (same arithmetic)."""
-        return active_backend().affine(x, self.weight.data,
-                                       self.bias.data)
-
 
 class Dropout(Module):
     """Inverted dropout; identity when ``training`` is False."""

@@ -12,12 +12,11 @@ this package serves *streams* of independent decisions:
   :meth:`repro.placement.PlacementOptimizer.optimize` calls in
   float64.
 * :class:`WorkerPool` — a persistent, fork-backed process pool with
-  read-only fork-shared model weights that shards decision waves (and
-  ``CostModel.fit`` mini-batch gradients) across cores, with a
-  deterministic serial fallback — and, as of PERFORMANCE.md §13,
-  per-shard timeout/retry/restart recovery with a bitwise-identical
-  degraded mode (:mod:`repro.serving.faults` injects deterministic
-  chaos for testing it).
+  fork-shared model weights that shards decision waves across cores,
+  with a deterministic serial fallback and per-shard
+  timeout/retry/restart recovery into a bitwise-identical degraded
+  mode (PERFORMANCE.md §13; :mod:`repro.serving.faults` injects
+  deterministic chaos for testing it).
 * :class:`ServingLoop` — the deadline-aware front door: adaptive wave
   formation (dispatch on fill OR deadline), bounded-queue admission
   control, and per-wave health counters.
@@ -28,11 +27,10 @@ from .faults import (FAULT_KINDS, CorruptShard, DegradedModeReport,
                      FaultInjector, FaultPlan, FaultSpec, PoolHealth,
                      ShardTimeout, WorkerCrash)
 from .monitor import ChurnHealth, ClusterMonitor, Deployment
-from .pool import WorkerPool, sharded_loss_and_grad
+from .pool import WorkerPool
 from .service import BackpressureError, ServiceStats, ServingLoop
 
 __all__ = ["DecisionBatcher", "DecisionRequest", "WorkerPool",
-           "sharded_loss_and_grad",
            "FaultSpec", "FaultPlan", "FaultInjector", "PoolHealth",
            "DegradedModeReport", "WorkerCrash", "ShardTimeout",
            "CorruptShard", "FAULT_KINDS",

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the serving/training pool.
+"""Deterministic fault injection for the serving pool.
 
 Chaos testing a process pool is usually flaky: a test kills a random
 worker at a random time and hopes the recovery path it wanted to
@@ -9,15 +9,14 @@ how many attempts; a :class:`FaultInjector` hands those faults to
 :class:`~repro.serving.pool.WorkerPool` at dispatch time, so a chaos
 test replays the identical failure sequence on every run — and the
 repo's bitwise-equivalence discipline supplies the recovery oracle:
-whatever faults are injected, the recovered wave or gradient step must
-be bit-identical to the no-fault serial reference.
+whatever faults are injected, the recovered wave must be bit-identical
+to the no-fault serial reference.
 
-Addressing: every pool dispatch stream is counted per operation kind
-(``"wave"`` waves, ``"grad"`` gradient steps).  A fault matches an
-``(op, step, shard, attempt)`` coordinate — step is the wave / grad
-step ordinal since the pool was created, shard is the index within
-that dispatch, and ``attempts`` is how many consecutive attempts of
-that shard fail (so a plan can exhaust the retry budget on purpose).
+Addressing: a fault matches a ``(step, shard, attempt)`` coordinate —
+step is the wave ordinal since the pool was created, shard is the
+index within that wave, and ``attempts`` is how many consecutive
+attempts of that shard fail (so a plan can exhaust the retry budget on
+purpose).
 
 Fault classes:
 
@@ -30,8 +29,8 @@ Fault classes:
   real sleeping in serial chaos tests).  The parent sees a per-shard
   timeout.
 * ``"corrupt"`` — the worker computes the real result and then
-  damages it (NaN objectives / NaN gradients), exercising the
-  parent's shard-result validation.
+  damages it (NaN objectives), exercising the parent's shard-result
+  validation.
 
 The degraded-mode fallback (the parent recomputing a shard in-process
 after the retry budget is spent) is deliberately *not* injectable —
@@ -71,16 +70,15 @@ class CorruptShard(RuntimeError):
 class FaultSpec:
     """One addressable fault.
 
-    ``step`` / ``shard`` may be ``None`` to match any step / any shard
-    of the operation; ``attempts`` is the number of consecutive
-    attempts (starting at attempt 0) that fail before the shard is
-    allowed to succeed.
+    ``step`` / ``shard`` may be ``None`` to match any wave / any
+    shard; ``attempts`` is the number of consecutive attempts
+    (starting at attempt 0) that fail before the shard is allowed to
+    succeed.
     """
 
     kind: str                  # "crash" | "hang" | "corrupt"
-    op: str = "any"            # "wave" | "grad" | "any"
-    step: int | None = 0       # dispatch ordinal (None = every step)
-    shard: int | None = 0      # shard index within the dispatch
+    step: int | None = 0       # wave ordinal (None = every wave)
+    shard: int | None = 0      # shard index within the wave
     attempts: int = 1          # consecutive failing attempts
     hang_s: float = 30.0       # worker-side sleep for "hang"
 
@@ -88,15 +86,11 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {FAULT_KINDS}")
-        if self.op not in ("wave", "grad", "any"):
-            raise ValueError(f"unknown fault op {self.op!r}")
         if self.attempts < 1:
             raise ValueError("a fault must fail at least one attempt")
 
-    def matches(self, op: str, step: int, shard: int,
-                attempt: int) -> bool:
-        return ((self.op == "any" or self.op == op)
-                and (self.step is None or self.step == step)
+    def matches(self, step: int, shard: int, attempt: int) -> bool:
+        return ((self.step is None or self.step == step)
                 and (self.shard is None or self.shard == shard)
                 and attempt < self.attempts)
 
@@ -121,17 +115,16 @@ class FaultPlan:
         rng = np.random.default_rng(seed)
         faults = tuple(
             FaultSpec(kind=kinds[int(rng.integers(len(kinds)))],
-                      op="any",
                       step=int(rng.integers(max_step)),
                       shard=int(rng.integers(max_shard)),
                       attempts=attempts, hang_s=hang_s)
             for _ in range(n_faults))
         return cls(faults)
 
-    def lookup(self, op: str, step: int, shard: int,
+    def lookup(self, step: int, shard: int,
                attempt: int) -> FaultSpec | None:
         for spec in self.faults:
-            if spec.matches(op, step, shard, attempt):
+            if spec.matches(step, shard, attempt):
                 return spec
         return None
 
@@ -140,7 +133,7 @@ class FaultInjector:
     """Hands a plan's faults to the pool and logs what it injected.
 
     The injector lives in the parent process: the pool asks it for the
-    fault (if any) at every ``(op, step, shard, attempt)`` coordinate
+    fault (if any) at every ``(step, shard, attempt)`` coordinate
     it dispatches, ships the matched :class:`FaultSpec` to the worker
     with the task (specs are small frozen dataclasses, cheap to
     pickle), and the worker applies it.  ``injected`` records every
@@ -149,14 +142,14 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        #: Log of (op, step, shard, attempt, kind) coordinates hit.
-        self.injected: list[tuple[str, int, int, int, str]] = []
+        #: Log of (step, shard, attempt, kind) coordinates hit.
+        self.injected: list[tuple[int, int, int, str]] = []
 
-    def fault_for(self, op: str, step: int, shard: int,
+    def fault_for(self, step: int, shard: int,
                   attempt: int) -> FaultSpec | None:
-        spec = self.plan.lookup(op, step, shard, attempt)
+        spec = self.plan.lookup(step, shard, attempt)
         if spec is not None:
-            self.injected.append((op, step, shard, attempt, spec.kind))
+            self.injected.append((step, shard, attempt, spec.kind))
         return spec
 
 
@@ -204,22 +197,14 @@ def corrupt_wave_shard(decisions: list) -> list:
             for decision in decisions]
 
 
-def corrupt_grad_shard(result: tuple) -> tuple:
-    """Damage a gradient shard: NaN-fill loss and every gradient."""
-    _, grads, n_graphs = result
-    return (float("nan"),
-            [np.full_like(grad, np.nan) for grad in grads], n_graphs)
-
-
 # ----------------------------------------------------------------------
 # Health accounting
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DegradedModeReport:
     """One shard that exhausted its retry budget and fell back to the
-    in-parent serial path (completing the wave / step regardless)."""
+    in-parent serial path (completing the wave regardless)."""
 
-    op: str
     step: int
     shard: int
     attempts: int
@@ -236,7 +221,6 @@ class PoolHealth:
     """
 
     waves: int = 0
-    grad_steps: int = 0
     shards_dispatched: int = 0
     retries: int = 0
     crashes: int = 0
@@ -245,7 +229,6 @@ class PoolHealth:
     restarts: int = 0
     degraded_shards: int = 0
     degraded_waves: int = 0
-    degraded_grad_steps: int = 0
     reports: list[DegradedModeReport] = field(default_factory=list)
 
     def record_failure(self, reason: str) -> None:

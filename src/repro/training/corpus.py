@@ -7,9 +7,8 @@ from the same graphs.  Two small objects remove that:
 * :class:`BatchSchedule` — ONE deterministic source for the train/val
   split and the per-epoch mini-batch permutations, shared by every
   member of an ensemble (and by the stacked trainer).  It also caches
-  every collated :class:`~repro.core.graph.GraphBatch` it hands out,
-  keyed by the mini-batch's row set, so the K members (and the
-  validation pass of every epoch) collate each batch exactly once.
+  the collated validation batches, so every epoch's validation pass
+  (of every member) reuses one collation.
 * :class:`TrainingCorpus` — a :class:`~repro.core.dataset.GraphDataset`
   wrapper that featurizes a trace corpus once and serves cached metric
   views to every ensemble; :meth:`repro.core.costream.Costream.fit`
@@ -44,27 +43,17 @@ class BatchSchedule:
     epoch over the (possibly oversampled) sample pool — from a single
     ``np.random.default_rng(seed)`` stream, generated lazily and
     cached so every consumer sees the same sequence regardless of who
-    asks first.  Collated train batches and validation pairs are
-    cached alongside: K members training under one schedule collate
-    each mini-batch once instead of K times.
+    asks first.  The collated validation pairs are cached alongside.
+    Train batches are not: a stacked fit reads each row set once, and
+    collation is deterministic, so a fresh collation per mini-batch
+    keeps memory flat without changing a bit.
     """
-
-    #: Train-batch cache bound (FIFO).  Epoch permutations rarely
-    #: repeat a row set, so within one *stacked* fit each cached batch
-    #: is read once — the cache exists for the K-member sequential
-    #: reference, whose members replay the same epochs one after
-    #: another.  The bound keeps a long fit (60 epochs x many batches)
-    #: from retaining the whole collated corpus many times over; a
-    #: miss simply re-collates, which is deterministic, so eviction
-    #: can never change results.
-    MAX_CACHED_BATCHES = 64
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._split_order: np.ndarray | None = None
         self._epoch_perms: list[np.ndarray] = []
-        self._batches: dict[bytes, GraphBatch] = {}
         self._val_pairs: list[tuple[GraphBatch, np.ndarray]] | None = None
         self._val_key: tuple | None = None
 
@@ -101,17 +90,8 @@ class BatchSchedule:
     # ------------------------------------------------------------------
     def train_batch(self, graphs: list[QueryGraph],
                     rows: np.ndarray) -> GraphBatch:
-        """The collated batch for ``rows`` of ``graphs``, cached by row
-        set (bounded FIFO, :data:`MAX_CACHED_BATCHES`) — every member
-        (and every repeat of the same row set) shares one collation."""
-        key = rows.tobytes()
-        batch = self._batches.get(key)
-        if batch is None:
-            batch = collate([graphs[i] for i in rows])
-            while len(self._batches) >= self.MAX_CACHED_BATCHES:
-                self._batches.pop(next(iter(self._batches)))
-            self._batches[key] = batch
-        return batch
+        """The collated batch for ``rows`` of ``graphs``."""
+        return collate([graphs[i] for i in rows])
 
     def val_pairs(self, val_graphs, val_labels: np.ndarray,
                   batch_size: int

@@ -1,29 +1,46 @@
 """Tests for the pluggable compute backend (repro.nn.backend).
 
 The contract: the default backend's kernels ARE the pre-dispatch numpy
-expressions (bitwise), the opt-in threaded backend stays within its
-documented tolerance of the reference path (bitwise on OpenBLAS
-builds), and selection composes with the other per-process contexts
-(``float32_inference``) and survives nesting.
+expressions (bitwise), every hot call site dispatches through the
+active backend, and selection composes with the other per-process
+contexts (``float32_inference``), survives nesting and restores on
+error.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn import backend as backend_mod
-from repro.nn.backend import (ComputeBackend, ThreadedBlasBackend,
-                              active_backend, active_backend_spec,
-                              compute_backend, resolve_backend)
+from repro.nn.backend import ComputeBackend, active_backend, compute_backend
 
-# The nightly backend lane sets REPRO_BACKEND, which replaces the
-# process default; tests that assert on the *resting* spec compare
-# against whatever this process booted with.
-_RESTING_SPEC = os.environ.get("REPRO_BACKEND", "").strip() or "numpy"
+_KERNELS = ("matmul", "affine", "mlp_forward", "mlp_forward_cached",
+            "flat_scatter_add", "stacked_flat_scatter_add",
+            "scatter_add", "sumsq", "member_sumsq", "adam_update")
+
+
+class Recording(ComputeBackend):
+    """Pass-through backend that counts every kernel it dispatches."""
+
+    def __init__(self):
+        self.calls: Counter = Counter()
+
+
+def _recorded(name):
+    reference = getattr(ComputeBackend, name)
+
+    def kernel(self, *args):
+        self.calls[name] += 1
+        return reference(self, *args)
+
+    return kernel
+
+
+for _name in _KERNELS:
+    setattr(Recording, _name, _recorded(_name))
 
 
 @pytest.fixture
@@ -38,12 +55,12 @@ def arrays(rng):
 class TestDefaultKernels:
     """The default backend is the bitwise-pinned reference."""
 
-    @pytest.mark.skipif(bool(os.environ.get("REPRO_BACKEND")),
-                        reason="process default overridden by "
-                               "REPRO_BACKEND")
     def test_default_is_numpy_with_zero_tolerance(self):
-        assert active_backend_spec() == "numpy"
-        assert active_backend().tolerance == 0.0
+        # The reference kernels themselves, not a subclass, and the
+        # Recording backend below wraps every one of them.
+        assert type(active_backend()) is ComputeBackend
+        assert {name for name in vars(ComputeBackend)
+                if not name.startswith("_")} == set(_KERNELS)
 
     def test_matmul_2d_and_3d(self, arrays):
         a, b, sa, sb = arrays
@@ -103,81 +120,42 @@ class TestDefaultKernels:
                 out[k], kernel.flat_scatter_add(flat, values[k], n_rows))
 
 
-class TestResolution:
-    def test_resolve_specs(self):
-        assert resolve_backend("numpy") is resolve_backend(None)
-        assert resolve_backend("") is resolve_backend("default")
-        threaded = resolve_backend("threads:3")
-        assert isinstance(threaded, ThreadedBlasBackend)
-        assert threaded.threads == 3
-        assert threaded.name == "threads:3"
-        assert resolve_backend(threaded) is threaded
-
-    def test_resolve_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            resolve_backend("bogus")
-        with pytest.raises(ValueError):
-            resolve_backend("threads:x")
-        with pytest.raises(ValueError):
-            ThreadedBlasBackend(0)
-
-
 class TestContextNesting:
     def test_nesting_restores_previous(self):
-        assert active_backend_spec() == _RESTING_SPEC
-        with compute_backend("threads:2"):
-            assert active_backend_spec() == "threads:2"
-            with compute_backend("numpy"):
-                assert active_backend_spec() == "numpy"
-            assert active_backend_spec() == "threads:2"
-        assert active_backend_spec() == _RESTING_SPEC
+        resting = active_backend()
+        outer, inner = Recording(), Recording()
+        with compute_backend(outer) as installed:
+            assert installed is outer and active_backend() is outer
+            with compute_backend(inner):
+                assert active_backend() is inner
+            assert active_backend() is outer
+        assert active_backend() is resting
 
     def test_composes_with_float32_inference(self):
+        resting = active_backend()
+        custom = Recording()
         with nn.float32_inference():
-            with compute_backend("threads:2"):
+            with compute_backend(custom):
                 assert nn.inference_dtype() == np.float32
-                assert active_backend_spec() == "threads:2"
+                assert active_backend() is custom
             assert nn.inference_dtype() == np.float32
-            assert active_backend_spec() == _RESTING_SPEC
-        with compute_backend("threads:2"):
+            assert active_backend() is resting
+        with compute_backend(custom):
             with nn.float32_inference():
-                assert active_backend_spec() == "threads:2"
+                assert active_backend() is custom
             assert nn.inference_dtype() == np.float64
-        assert active_backend_spec() == _RESTING_SPEC
+        assert active_backend() is resting
 
     def test_restores_on_error(self):
+        resting = active_backend()
         with pytest.raises(RuntimeError):
-            with compute_backend("threads:2"):
+            with compute_backend(Recording()):
                 raise RuntimeError("boom")
-        assert active_backend_spec() == _RESTING_SPEC
+        assert active_backend() is resting
 
-
-class TestThreadedBackend:
-    def test_kernels_within_tolerance(self, arrays):
-        a, b, sa, sb = arrays
-        reference = active_backend()
-        with compute_backend("threads:2") as threaded:
-            assert threaded.tolerance > 0.0
-            np.testing.assert_allclose(threaded.matmul(a, b),
-                                       reference.matmul(a, b),
-                                       rtol=threaded.tolerance, atol=0.0)
-            np.testing.assert_allclose(threaded.matmul(sa, sb),
-                                       reference.matmul(sa, sb),
-                                       rtol=threaded.tolerance, atol=0.0)
-
-    def test_thread_count_restored(self):
-        control = backend_mod._blas_thread_control()
-        if control is None:
-            pytest.skip("no controllable BLAS loaded")
-        before = int(control[1]())
-        with compute_backend("threads:2") as threaded:
-            # The applied count is capped at the physical core count —
-            # oversubscribed BLAS threads spin, they don't idle.
-            assert threaded.effective_threads == min(
-                2, os.cpu_count() or 1)
-            if threaded.threads_applied:
-                assert int(control[1]()) == threaded.effective_threads
-        assert int(control[1]()) == before
+    def test_rejects_non_backends(self):
+        with pytest.raises(TypeError):
+            compute_backend("threads:2")
 
 
 class TestRoutedCallSites:
@@ -186,20 +164,16 @@ class TestRoutedCallSites:
     def test_mlp_forward_array_uses_backend(self, rng):
         mlp = nn.MLP(6, [8], 2, np.random.default_rng(0))
         x = rng.standard_normal((5, 6))
-        with compute_backend("numpy"):
-            baseline = mlp.forward_array(x)
+        baseline = mlp.forward_array(x)
 
         class Doubling(ComputeBackend):
-            name = "doubling"
-
             def mlp_forward(self, weights, biases, data):
                 return 2.0 * super().mlp_forward(weights, biases, data)
 
         with compute_backend(Doubling()):
             np.testing.assert_array_equal(mlp.forward_array(x),
                                           2.0 * baseline)
-        with compute_backend("numpy"):
-            np.testing.assert_array_equal(mlp.forward_array(x), baseline)
+        np.testing.assert_array_equal(mlp.forward_array(x), baseline)
 
     def test_taped_forward_backward_bitwise_under_threads(self, rng):
         mlp_a = nn.MLP(6, [8], 2, np.random.default_rng(1))
@@ -207,15 +181,14 @@ class TestRoutedCallSites:
         x = rng.standard_normal((5, 6))
         out_a = mlp_a(nn.Tensor(x, requires_grad=True))
         out_a.sum().backward()
-        with compute_backend("threads:2") as threaded:
+        with compute_backend(Recording()) as recording:
             out_b = mlp_b(nn.Tensor(x, requires_grad=True))
             out_b.sum().backward()
-        np.testing.assert_allclose(out_b.data, out_a.data,
-                                   rtol=threaded.tolerance, atol=0.0)
+        assert recording.calls["mlp_forward_cached"] == 1
+        assert recording.calls["matmul"] == 4  # input + weight grads
+        np.testing.assert_array_equal(out_b.data, out_a.data)
         for pa, pb in zip(mlp_a.parameters(), mlp_b.parameters()):
-            np.testing.assert_allclose(pb.grad, pa.grad,
-                                       rtol=threaded.tolerance,
-                                       atol=1e-12)
+            np.testing.assert_array_equal(pb.grad, pa.grad)
 
     def test_adam_step_bitwise_under_threads(self, rng):
         grads = rng.standard_normal((4, 4))
@@ -228,8 +201,9 @@ class TestRoutedCallSites:
             param_a.grad = grads.copy()
             param_b.grad = grads.copy()
             opt_a.step()
-            with compute_backend("threads:2"):
-                opt_b.step()   # elementwise kernels: bitwise either way
+            with compute_backend(Recording()) as recording:
+                opt_b.step()
+            assert recording.calls["adam_update"] == 1
         np.testing.assert_array_equal(param_a.data, param_b.data)
 
     def test_clip_grad_norm_dispatches(self, rng):
@@ -237,20 +211,7 @@ class TestRoutedCallSites:
                           requires_grad=True)
         param.grad = rng.standard_normal((3, 3))
         expected = float(np.sqrt((param.grad ** 2).sum()))
-        with compute_backend("threads:2"):
+        with compute_backend(Recording()) as recording:
             norm = nn.clip_grad_norm([param], max_norm=1e9)
+        assert recording.calls["sumsq"] == 1
         assert norm == expected
-
-    def test_env_var_selects_backend(self):
-        import subprocess
-        import sys
-        code = ("from repro.nn import active_backend_spec; "
-                "print(active_backend_spec())")
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True,
-            text=True, env={"PYTHONPATH": "src",
-                            "REPRO_BACKEND": "threads:2",
-                            "PATH": "/usr/bin:/bin"},
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent))
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "threads:2"

@@ -121,9 +121,13 @@ class TestClusterMutation:
     def test_degrade_validates_factors(self):
         cluster = _cluster()
         target = cluster.node_ids[0]
+        nan, inf = float("nan"), float("inf")
         for kwargs in ({"cpu_factor": 0.0}, {"ram_factor": -1.0},
                        {"bandwidth_factor": 0.0},
-                       {"latency_factor": -0.5}):
+                       {"latency_factor": -0.5},
+                       {"cpu_factor": nan}, {"ram_factor": nan},
+                       {"bandwidth_factor": nan},
+                       {"latency_factor": nan}, {"cpu_factor": inf}):
             with pytest.raises(ValueError):
                 cluster.degrade_node(target, **kwargs)
         assert cluster.version == 0

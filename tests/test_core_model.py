@@ -8,6 +8,7 @@ import pytest
 from repro.core import Featurizer, build_graph, collate
 from repro.core.model import MESSAGE_SCHEMES, CostreamGNN
 from repro.hardware import Placement
+from repro.nn import bce_with_logits_loss, msle_loss
 
 
 @pytest.fixture
@@ -95,6 +96,30 @@ class TestBackward:
         batch = collate(graphs)
         b.load_state_dict(a.state_dict())
         np.testing.assert_allclose(a(batch).numpy(), b(batch).numpy())
+
+
+class TestManualStep:
+    """``loss_and_grad`` is the training step of every per-member fit;
+    it must replay the taped forward + ``loss.backward()`` bit for bit."""
+
+    @pytest.mark.parametrize("loss_kind, loss_fn, labels", [
+        ("msle", msle_loss, np.array([12.5, 300.0, 0.7])),
+        ("bce", bce_with_logits_loss, np.array([0.0, 1.0, 1.0])),
+    ])
+    def test_matches_tape_bitwise(self, graphs, loss_kind, loss_fn,
+                                  labels):
+        manual = CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0)
+        taped = CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0)
+        assert manual.supports_manual_step()
+        batch = collate(graphs)
+        manual_loss = manual.loss_and_grad(batch, labels, loss_kind)
+        loss = loss_fn(taped(batch), labels)
+        loss.backward()
+        assert manual_loss == loss.item()
+        for ours, tape in zip(manual.parameters(), taped.parameters()):
+            assert (ours.grad is None) == (tape.grad is None)
+            if tape.grad is not None:
+                np.testing.assert_array_equal(ours.grad, tape.grad)
 
 
 class TestMessagePassingSemantics:

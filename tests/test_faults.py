@@ -2,10 +2,10 @@
 
 The recovery oracle is the repo's bitwise-equivalence discipline: for
 EVERY injected fault class (crash, hang/timeout, corrupt shard) the
-wave and the pool-sharded fit must complete successfully and produce
-decisions/gradients bit-identical to the no-fault serial reference —
-retries and the degraded fallback recompute deterministic shards, so
-recovery is exact, not approximate.  Likewise a training run killed
+wave must complete successfully and produce decisions bit-identical to
+the no-fault serial reference — retries and the degraded fallback
+recompute deterministic shards, so recovery is exact, not
+approximate.  Likewise a training run killed
 mid-fit and resumed must be bitwise identical (losses, early stopping,
 final parameters) to the uninterrupted run.
 
@@ -25,9 +25,7 @@ import pytest
 from repro.core.training import CostModel, TrainingConfig
 from repro.serving import (DecisionBatcher, FaultInjector, FaultPlan,
                            FaultSpec, WorkerPool)
-from repro.serving.faults import (CorruptShard, ShardTimeout,
-                                  WorkerCrash, corrupt_grad_shard,
-                                  run_with_fault)
+from repro.serving.faults import ShardTimeout, WorkerCrash, run_with_fault
 from repro.serving.pool import _fork_available
 from repro.training.stacked import StackedTrainer
 
@@ -85,34 +83,30 @@ class TestFaultPlan:
         assert first != other
 
     def test_spec_addressing(self):
-        spec = FaultSpec(kind="crash", op="wave", step=1, shard=2,
-                         attempts=2)
-        assert spec.matches("wave", 1, 2, 0)
-        assert spec.matches("wave", 1, 2, 1)
-        assert not spec.matches("wave", 1, 2, 2)  # attempts exhausted
-        assert not spec.matches("grad", 1, 2, 0)
-        assert not spec.matches("wave", 0, 2, 0)
-        assert not spec.matches("wave", 1, 0, 0)
+        spec = FaultSpec(kind="crash", step=1, shard=2, attempts=2)
+        assert spec.matches(1, 2, 0)
+        assert spec.matches(1, 2, 1)
+        assert not spec.matches(1, 2, 2)  # attempts exhausted
+        assert not spec.matches(0, 2, 0)
+        assert not spec.matches(1, 0, 0)
 
     def test_wildcards(self):
-        spec = FaultSpec(kind="hang", op="any", step=None, shard=None)
-        assert spec.matches("wave", 9, 3, 0)
-        assert spec.matches("grad", 0, 0, 0)
+        spec = FaultSpec(kind="hang", step=None, shard=None)
+        assert spec.matches(9, 3, 0)
+        assert spec.matches(0, 0, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(kind="explode")
         with pytest.raises(ValueError):
-            FaultSpec(kind="crash", op="warp")
-        with pytest.raises(ValueError):
             FaultSpec(kind="crash", attempts=0)
 
     def test_injector_logs_hits(self):
         injector = FaultInjector(FaultPlan.of(
-            FaultSpec(kind="crash", op="wave", step=0, shard=1)))
-        assert injector.fault_for("wave", 0, 0, 0) is None
-        assert injector.fault_for("wave", 0, 1, 0).kind == "crash"
-        assert injector.injected == [("wave", 0, 1, 0, "crash")]
+            FaultSpec(kind="crash", step=0, shard=1)))
+        assert injector.fault_for(0, 0, 0) is None
+        assert injector.fault_for(0, 1, 0).kind == "crash"
+        assert injector.injected == [(0, 1, 0, "crash")]
 
     def test_serial_fault_simulation(self):
         compute = lambda: "ok"  # noqa: E731
@@ -122,17 +116,6 @@ class TestFaultPlan:
         with pytest.raises(ShardTimeout):
             run_with_fault(FaultSpec(kind="hang"), compute, None)
 
-    def test_corrupt_grad_shard_is_caught_by_validation(self):
-        grads = [np.ones((2, 2)), np.zeros(3)]
-        loss, bad_grads, n = corrupt_grad_shard((0.5, grads, 4))
-        assert np.isnan(loss) and n == 4
-        assert all(np.isnan(grad).all() for grad in bad_grads)
-        shapes = [grad.shape for grad in grads]
-        with pytest.raises(CorruptShard):
-            WorkerPool._validate_grad_shard(
-                (loss, bad_grads, n), (type("B", (), {"n_graphs": 4})(),
-                                       None), shapes)
-
 
 class TestSerialChaos:
     """Every fault class, recovered on the serial backend (fast)."""
@@ -141,21 +124,21 @@ class TestSerialChaos:
     def test_single_fault_recovers_bitwise(self, kind, model, requests,
                                            reference):
         pool, injector = _injected_pool(
-            FaultSpec(kind=kind, op="wave", step=0, shard=0))
+            FaultSpec(kind=kind, step=0, shard=0))
         with pool:
             decisions = DecisionBatcher(model, pool=pool).decide(
                 requests)
         _assert_decisions_equal(decisions, reference)
-        assert injector.injected == [("wave", 0, 0, 0, kind)]
+        assert injector.injected == [(0, 0, 0, kind)]
         assert pool.health.retries == 1
         assert pool.health.degraded_shards == 0
 
     def test_every_shard_faulted_at_once(self, model, requests,
                                          reference):
         pool, _ = _injected_pool(
-            FaultSpec(kind="crash", op="wave", step=0, shard=0),
-            FaultSpec(kind="hang", op="wave", step=0, shard=1),
-            FaultSpec(kind="corrupt", op="wave", step=1, shard=None))
+            FaultSpec(kind="crash", step=0, shard=0),
+            FaultSpec(kind="hang", step=0, shard=1),
+            FaultSpec(kind="corrupt", step=1, shard=None))
         with pool:
             batcher = DecisionBatcher(model, pool=pool)
             _assert_decisions_equal(batcher.decide(requests), reference)
@@ -168,7 +151,7 @@ class TestSerialChaos:
     def test_retry_exhaustion_degrades_not_raises(self, model, requests,
                                                   reference):
         pool, _ = _injected_pool(
-            FaultSpec(kind="crash", op="wave", step=None, shard=0,
+            FaultSpec(kind="crash", step=None, shard=0,
                       attempts=99),
             max_retries=2)
         with pool:
@@ -178,8 +161,8 @@ class TestSerialChaos:
         assert pool.health.degraded_shards == 1
         assert pool.health.degraded_waves == 1
         report = pool.health.reports[0]
-        assert (report.op, report.shard, report.reason) == \
-            ("wave", 0, "crash")
+        assert (report.step, report.shard, report.reason) == \
+            (0, 0, "crash")
         assert report.attempts == 3  # initial try + 2 retries
 
     def test_no_fault_run_has_clean_health(self, model, requests):
@@ -202,38 +185,6 @@ class TestSerialChaos:
         assert pool.health.shards_dispatched == 2
         assert pool.health.retries == 0
 
-    def test_grad_faults_leave_training_bitwise(self, train_data):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=5,
-                                batch_size=16)
-
-        def fit(pool):
-            member = CostModel("processing_latency", config=config,
-                               seed=0)
-            member.fit(graphs, labels, pool=pool)
-            return member
-
-        with WorkerPool(processes=2, serial=True) as pool:
-            reference = fit(pool)
-        pool, injector = _injected_pool(
-            FaultSpec(kind="corrupt", op="grad", step=1, shard=1),
-            FaultSpec(kind="crash", op="grad", step=3, shard=0),
-            FaultSpec(kind="hang", op="grad", step=5, shard=None,
-                      attempts=99),  # degrades past the budget
-            max_retries=1)
-        with pool:
-            faulted = fit(pool)
-        assert len(injector.injected) >= 3
-        assert pool.health.degraded_shards > 0
-        assert reference.history.train_loss == \
-            faulted.history.train_loss
-        assert reference.history.val_loss == faulted.history.val_loss
-        ref_state = reference.network.state_dict()
-        faulted_state = faulted.network.state_dict()
-        for key in ref_state:
-            np.testing.assert_array_equal(ref_state[key],
-                                          faulted_state[key])
-
 
 @needs_fork
 class TestForkChaos:
@@ -242,22 +193,21 @@ class TestForkChaos:
     def test_worker_crash_restarts_and_recovers(self, model, requests,
                                                 reference):
         pool, injector = _injected_pool(
-            FaultSpec(kind="crash", op="wave", step=0, shard=0),
+            FaultSpec(kind="crash", step=0, shard=0),
             serial=False)
         with pool:
             batcher = DecisionBatcher(model, pool=pool)
             _assert_decisions_equal(batcher.decide(requests), reference)
             # The restarted pool keeps serving subsequent waves.
             _assert_decisions_equal(batcher.decide(requests), reference)
-        assert injector.injected[0][4] == "crash"
+        assert injector.injected[0][3] == "crash"
         assert pool.health.restarts >= 1
         assert pool.health.degraded_shards == 0
 
     def test_hung_worker_times_out_and_recovers(self, model, requests,
                                                 reference):
         pool, _ = _injected_pool(
-            FaultSpec(kind="hang", op="wave", step=0, shard=0,
-                      hang_s=30.0),
+            FaultSpec(kind="hang", step=0, shard=0, hang_s=30.0),
             serial=False, timeout=0.5)
         with pool:
             decisions = DecisionBatcher(model, pool=pool).decide(
@@ -270,7 +220,7 @@ class TestForkChaos:
     def test_corrupt_shard_detected_and_recovered(self, model, requests,
                                                   reference):
         pool, _ = _injected_pool(
-            FaultSpec(kind="corrupt", op="wave", step=0, shard=1),
+            FaultSpec(kind="corrupt", step=0, shard=1),
             serial=False)
         with pool:
             decisions = DecisionBatcher(model, pool=pool).decide(
@@ -279,34 +229,13 @@ class TestForkChaos:
         assert pool.health.corrupt_shards == 1
         assert pool.health.restarts == 0  # validation needs no refork
 
-    def test_grad_crash_in_pooled_fit(self, train_data):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=5)
-
-        def losses(pool):
-            member = CostModel("processing_latency", config=config,
-                               seed=0)
-            return np.asarray(
-                member.fit(graphs, labels, pool=pool).train_loss)
-
-        with WorkerPool(processes=2, serial=True) as serial_pool:
-            reference = losses(serial_pool)
-        pool, _ = _injected_pool(
-            FaultSpec(kind="crash", op="grad", step=2, shard=0),
-            serial=False)
-        with pool:
-            faulted = losses(pool)
-        np.testing.assert_array_equal(reference, faulted)
-        assert pool.health.restarts >= 1
-
     def test_degraded_wave_on_fork_backend(self, model, requests,
                                            reference):
         """A permanently crashing worker breaks the whole executor, so
         the innocent shard in flight can fail collaterally — both may
         degrade, but the wave still completes bitwise identical."""
         pool, _ = _injected_pool(
-            FaultSpec(kind="crash", op="wave", step=0, shard=1,
-                      attempts=99),
+            FaultSpec(kind="crash", step=0, shard=1, attempts=99),
             serial=False, max_retries=1)
         with pool:
             decisions = DecisionBatcher(model, pool=pool).decide(
@@ -464,27 +393,6 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="does not match"):
             StackedTrainer(other).fit(graphs, labels,
                                       checkpoint_path=ckpt, resume=True)
-
-    def test_pooled_fit_with_checkpointing(self, train_data, tmp_path):
-        """Checkpoint/resume composes with pool-sharded training."""
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=4, patience=3)
-        with WorkerPool(processes=2, serial=True) as pool:
-            reference = CostModel("processing_latency", config=config,
-                                  seed=3)
-            reference.fit(graphs, labels, pool=pool)
-            ckpt = tmp_path / "fit.npz"
-            hook, Killed = self._kill_at(1)
-            killed = CostModel("processing_latency", config=config,
-                               seed=3)
-            with pytest.raises(Killed):
-                killed.fit(graphs, labels, pool=pool,
-                           checkpoint_path=ckpt, on_epoch_end=hook)
-            resumed = CostModel("processing_latency", config=config,
-                                seed=3)
-            resumed.fit(graphs, labels, pool=pool,
-                        checkpoint_path=ckpt, resume=True)
-        self._assert_same_model(reference, resumed)
 
 
 @nightly_chaos

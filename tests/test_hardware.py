@@ -21,6 +21,16 @@ class TestHardwareNode:
             HardwareNode("n", cpu=1, ram_mb=1, bandwidth_mbits=1,
                          latency_ms=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["cpu", "ram_mb", "bandwidth_mbits",
+                                       "latency_ms"])
+    def test_rejects_non_finite(self, field, value):
+        features = {"cpu": 100.0, "ram_mb": 2000.0,
+                    "bandwidth_mbits": 50.0, "latency_ms": 10.0}
+        features[field] = value
+        with pytest.raises(ValueError, match=field):
+            HardwareNode("n", **features)
+
     def test_features_dict(self):
         node = HardwareNode("n", 100, 2000, 50, 10)
         assert node.features() == {"cpu": 100, "ram_mb": 2000,

@@ -150,15 +150,6 @@ class TestBatchSchedule:
         with pytest.raises(ValueError):
             schedule.epoch_order(0, np.arange(12))
 
-    def test_train_batches_shared(self, corpus_data):
-        schedule = BatchSchedule(0)
-        rows = np.arange(8)
-        first = schedule.train_batch(corpus_data.graphs, rows)
-        second = schedule.train_batch(corpus_data.graphs,
-                                      np.arange(8))
-        assert first is second
-        assert first.n_graphs == 8
-
     def test_val_pairs_collated_once(self, corpus_data):
         schedule = BatchSchedule(0)
         labels = corpus_data.labels["throughput"]
