@@ -1,14 +1,13 @@
 """Hot-path performance microbenchmark (fast path vs. pre-PR code).
 
-Times the three optimized hot paths against faithful slow-path
-replicas and asserts (a) the fast path predicts identically to within
-1e-9 at every scale, and (b) the ISSUE-1 speedup targets — >= 5x on
-end-to-end placement-decision latency, >= 2x on training epoch time —
-at the ``small``/``full`` scales (the ``tiny`` preset is a CI smoke
-run on hardware too noisy for ratio assertions).
-
-``scripts/bench_hotpaths.py`` runs the same suite standalone and
-writes ``BENCH_hotpaths.json``.
+Times the optimized hot paths against faithful slow-path replicas and
+asserts that every fast path is numerically equivalent to its replica
+(deltas within 1e-9, decisions agree, stacked training bitwise) at
+every scale.  Speedups are reported, not asserted: wall-clock ratios
+measured inside a long pytest run are too noisy to gate on.  The
+speedup floors live in ``scripts/check_perf_regression.py``, which
+gates a fresh-process ``scripts/bench_hotpaths.py`` run (the CI
+perf-gate job and the nightly).
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from repro.experiments.hotpaths import (EQUIVALENCE_TOLERANCE,
                                         run_hotpath_benchmarks)
 
 
-def test_perf_hotpaths(benchmark, context, shape_checks, report,
-                       tmp_path):
+def test_perf_hotpaths(benchmark, context, report, tmp_path):
     results = run_once(
         benchmark, lambda: run_hotpath_benchmarks(context.scale.name))
 
@@ -69,6 +67,7 @@ def test_perf_hotpaths(benchmark, context, shape_checks, report,
     assert throughput["float32_max_rel_delta"] \
         <= throughput["float32_tolerance"]
     assert throughput["float32_decisions_agree"]
+    assert throughput["service"]["decisions_match"]
     collation = results["candidate_collation"]
     assert collation["float64_max_abs_delta"] <= EQUIVALENCE_TOLERANCE
     assert collation["fields_equal"]
@@ -80,28 +79,3 @@ def test_perf_hotpaths(benchmark, context, shape_checks, report,
     assert train["max_abs_train_loss_delta"] == 0.0
     assert train["histories_equal"]
     assert train["params_equal"]
-
-    if shape_checks:
-        assert results["placement_decision"]["speedup"] >= 5.0
-        assert results["epoch"]["speedup"] >= 2.0
-        assert results["collate"]["speedup"] >= 2.0
-        # ISSUE-4: index-native candidate collation vs the retained
-        # reference loop.  The 2.0x floor holds in a fresh process
-        # (scripts/bench_hotpaths.py, which produces the committed
-        # JSON and feeds the nightly perf gate at the full floor);
-        # inside the full benchmark suite the live heap from earlier
-        # files slows numpy allocation enough to shave ~5-10% off the
-        # array-heavy index path (measured 1.95-2.1x), so the in-suite
-        # assertion uses that measured-reality floor.
-        assert collation["speedup"] >= 1.8
-        # The wave's amortization win over the already-fast sequential
-        # path is bounded by the bitwise-pinned arithmetic share (see
-        # PERFORMANCE.md); parity is the small-scale floor (measured
-        # ~1.06x on one core, ~1.6x at tiny scale where the CI gate
-        # enforces 1.2x).
-        assert throughput["speedup"] >= 1.0
-        # ISSUE-5 stacked training: measured ~1.45-1.55x at small
-        # scale in a fresh process (the nightly gate's 1.3 floor runs
-        # there); in-suite the live heap adds noise, so assert the
-        # derated floor.
-        assert train["speedup"] >= 1.25

@@ -52,8 +52,7 @@ def main() -> None:
               f"{sorted(decision.placement.used_nodes())}")
 
     print("== 2. Track the deployments with a ClusterMonitor ==")
-    loop = ServingLoop(DecisionBatcher(model), max_wave=8,
-                       deadline_s=0.01, max_queue=32)
+    loop = ServingLoop(DecisionBatcher(model), max_queue=32)
     monitor = ClusterMonitor(loop)
     ids = [monitor.track(plan, cluster, decision, n_candidates=20,
                          seed=index)

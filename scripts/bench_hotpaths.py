@@ -91,9 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         churn_quiet = all(v == 0 for v in
                           service.get("churn", {}).values())
         print(f"serving:   {service['decisions_per_s_service']:,.0f} "
-              f"decisions/s through the deadline-aware loop "
-              f"(max wave {service['max_wave']}, waves "
-              f"{stats['waves']}, rejected {stats['rejected']}, "
+              f"decisions/s through the serving loop "
+              f"(waves {stats['waves']}, rejected {stats['rejected']}, "
               f"failed {stats['failed']}, p99 "
               f"{stats['latency_p99_ms']:.1f} ms, matches direct "
               f"dispatch: {service['decisions_match']}, churn "

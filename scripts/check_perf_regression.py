@@ -39,8 +39,8 @@ baseline and **fails (exit 1)** when
 * a recorded worker-pool health block shows the no-fault run took a
   recovery path (any retry, restart, crash, timeout, corrupt shard, or
   degraded fallback — the hardening must be free on the happy path),
-  or the deadline-aware serving loop's decisions stop matching the
-  direct wave dispatch / it rejected or failed a request,
+  or the serving loop's decisions stop matching the direct wave
+  dispatch / it rejected, failed or cancelled a request,
 * the serving loop's churn counters are non-zero on a no-churn run
   (the benchmark never mutates the cluster, so any repair activity
   means the monitor misfired), the ``churn_repair`` entry is missing,
@@ -276,18 +276,18 @@ def main(argv: list[str] | None = None) -> int:
     if service is not None:
         stats = service.get("stats", {})
         match = service.get("decisions_match", False)
-        dropped = int(stats.get("rejected", 0)) + int(
-            stats.get("failed", 0))
+        dropped = sum(int(stats.get(key, 0))
+                      for key in ("rejected", "failed", "cancelled"))
         print(f"  serving loop         decisions_match={match}, "
-              f"rejected+failed={dropped} "
+              f"rejected+failed+cancelled={dropped} "
               f"{'ok' if match and dropped == 0 else 'FAIL'}")
         if not match:
             failures.append("serving-loop decisions diverge from the "
                             "direct wave dispatch")
         if dropped:
             failures.append(
-                f"serving loop rejected/failed {dropped} requests on "
-                f"an uncontended run")
+                f"serving loop rejected/failed/cancelled {dropped} "
+                f"requests on an uncontended run")
         p99 = float(stats.get("latency_p99_ms", float("inf")))
         print(f"  serving p99          {p99:.1f} ms "
               f"(budget {args.service_p99_ms:.0f} ms) "

@@ -41,6 +41,7 @@ Fast-path machinery (see PERFORMANCE.md):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -481,13 +482,21 @@ def featurize_plan(plan: QueryPlan, featurizer: Featurizer,
     """Featurize the operators of one plan (placement-invariant).
 
     Feature vectors come out in the active inference dtype (float64
-    unless inside :class:`repro.nn.float32_inference`).
+    unless inside :class:`repro.nn.float32_inference`).  A selectivity
+    given for one of the plan's operators must be finite and
+    non-negative (``ValueError`` naming the operator otherwise).
     """
     selectivities = selectivities or {}
     node_types: list[str] = []
     features: list[np.ndarray] = []
     op_index: dict[str, int] = {}
     for op_id in plan.topological_order():
+        selectivity = selectivities.get(op_id)
+        if selectivity is not None and not (math.isfinite(selectivity)
+                                            and selectivity >= 0.0):
+            raise ValueError(
+                f"selectivity of operator {op_id!r} must be finite and "
+                f"non-negative, got {selectivity!r}")
         op_index[op_id] = len(node_types)
         node_types.append(plan.operator(op_id).kind.value)
         features.append(_inference_cast(featurizer.operator_features(

@@ -488,13 +488,11 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
                 "health": pool.health.as_dict(),
             }
 
-    # The deadline-aware front door over the same request stream:
-    # adaptive waves (fill OR deadline) must serve decisions identical
-    # to direct wave dispatch, with zero rejections or failures.
-    max_wave = max(2, n_requests // 2)
+    # The serving front door over the same request stream: deciding
+    # each request on arrival must serve decisions identical to direct
+    # wave dispatch, with zero rejections, failures or cancellations.
     with ServingLoop(DecisionBatcher(model,
                                      objective="processing_latency"),
-                     max_wave=max_wave, deadline_s=0.05,
                      max_queue=4 * n_requests) as loop:
         # A monitor with no churn events: its counters must all stay
         # at zero on this quiet run — the CI gate pins them, exactly
@@ -505,8 +503,6 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
         service_stats = loop.stats.as_dict()
         churn_health = monitor.health.as_dict()
     result["service"] = {
-        "max_wave": max_wave,
-        "deadline_s": 0.05,
         "service_s_per_decision": service_s / n_requests,
         "decisions_per_s_service": n_requests / max(service_s, 1e-12),
         "decisions_match": bool(all(

@@ -17,9 +17,9 @@ this package serves *streams* of independent decisions:
   timeout/retry/restart recovery into a bitwise-identical degraded
   mode (PERFORMANCE.md §13; :mod:`repro.serving.faults` injects
   deterministic chaos for testing it).
-* :class:`ServingLoop` — the deadline-aware front door: adaptive wave
-  formation (dispatch on fill OR deadline), bounded-queue admission
-  control, and per-wave health counters.
+* :class:`ServingLoop` — the front door: each request is decided as
+  soon as the dispatcher is free and its future resolved at once,
+  with bounded-queue admission control and per-dispatch counters.
 """
 
 from .batcher import DecisionBatcher, DecisionRequest

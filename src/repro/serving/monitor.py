@@ -4,12 +4,12 @@
 (:mod:`repro.hardware.churn`) and the serving machinery: it tracks
 live *deployments* (a plan, its cluster and its current placement),
 applies churn events to the cluster, and re-places every affected
-deployment through the wave engine — incremental repairs ship their
-pinned candidate sets as :class:`~repro.serving.batcher.
+deployment through the serving machinery — incremental repairs ship
+their pinned candidate sets as :class:`~repro.serving.batcher.
 DecisionRequest` objects into the :class:`~repro.serving.service.
 ServingLoop` (or straight into a :class:`~repro.serving.batcher.
-DecisionBatcher` wave), so repair scoring rides the exact mega-batch
-path production decisions use and inherits its bitwise guarantees.
+DecisionBatcher` wave), so repair scoring rides the exact path
+production decisions use and inherits its bitwise guarantees.
 
 :class:`ChurnHealth` extends the :class:`~repro.serving.faults.
 PoolHealth` discipline to churn: every counter is zero on a no-churn
@@ -79,9 +79,9 @@ class ClusterMonitor:
     """Feeds churn events into the serving loop and repairs the fallout.
 
     ``serving`` is a :class:`ServingLoop` (repair requests are
-    submitted as waves through the loop, alongside production traffic)
-    or a bare :class:`DecisionBatcher` (repair requests form one
-    direct wave).  Attaching to a loop also registers
+    submitted through the loop one by one, queued with production
+    traffic) or a bare :class:`DecisionBatcher` (repair requests form
+    one direct wave).  Attaching to a loop also registers
     :attr:`health` so ``loop.health_snapshot()`` reports the churn
     counters next to the pool's.
     """
@@ -176,9 +176,10 @@ class ClusterMonitor:
                          ) -> dict[int, RepairOutcome]:
         """Re-place every tracked deployment touching affected hosts.
 
-        All affected deployments' repair candidates are scored in ONE
-        wave through the serving loop (or batcher), then the winning
-        placements are written back to the deployments.
+        All affected deployments' repair candidates are scored through
+        the serving loop (one request at a time) or the batcher (in
+        ONE wave), then the winning placements are written back to the
+        deployments.
         """
         repairer = self.repairer
         pending: list[tuple[Deployment, dict, int]] = []

@@ -1,16 +1,16 @@
-"""Deadline-aware serving front door (ROADMAP open item 2).
+"""Serving front door: one request at a time, decided on arrival.
 
-:class:`~repro.serving.batcher.DecisionBatcher` answers *waves* it is
-handed; production traffic arrives one request at a time.
+:class:`~repro.serving.batcher.DecisionBatcher` answers the requests
+it is handed; production traffic arrives one request at a time.
 :class:`ServingLoop` sits in between: callers :meth:`submit` individual
 :class:`~repro.serving.batcher.DecisionRequest` objects and get a
-future back, while a dispatcher thread forms waves **adaptively** —
-a wave goes out the moment it fills (``max_wave`` requests, the
-throughput-optimal batch) OR the moment its oldest request has waited
-``deadline_s`` (the latency guarantee), whichever comes first.  Under
-light traffic requests pay at most the deadline; under heavy traffic
-waves are always full and per-decision cost approaches the mega-batch
-optimum (PERFORMANCE.md §7).
+future back.  A dispatcher thread takes the oldest queued request as
+soon as it is free, decides it alone (``batcher.decide([request])``)
+and resolves that request's future at once, so no request waits for
+a wave to fill or for other requests' decisions.  Waves do not pay
+here: a merged wave cost 0.98x sequential ``optimize`` per request at
+2-8 requests and 1.18x (slower) at 16 on the serve traffic
+(PERFORMANCE.md §8).
 
 Admission control: the intake queue is bounded (``max_queue``).  A
 non-blocking :meth:`submit` raises :class:`BackpressureError` when the
@@ -18,14 +18,11 @@ queue is full — callers shed load explicitly instead of growing an
 unbounded backlog; ``block=True`` waits for capacity instead (the
 convenience :meth:`serve` does this).
 
-Determinism: wave formation changes *grouping only*.  Every decision
-is independent of which wave served it (the mega-batch forward is
-bitwise row-invariant, PERFORMANCE.md §7), so any chunking of a
-request stream yields decisions bit-identical to serving each request
-alone — the chunking-invariance oracle ``tests/test_faults.py``
-asserts.  Faults inside a wave are absorbed by the pool's
-retry/degrade machinery (§13); a wave that still fails rejects only
-its own requests' futures.
+Determinism: a one-request ``decide`` is the sequential path, so every
+decision is bitwise equal to :meth:`~repro.placement.
+PlacementOptimizer.optimize` of the same request.  A request whose
+decision raises fails its own future only; a future cancelled while
+queued is skipped without being decided.
 
 :meth:`health_snapshot` merges the loop's :class:`ServiceStats` with
 the underlying pool's :class:`~repro.serving.faults.PoolHealth` so
@@ -60,10 +57,16 @@ class BackpressureError(RuntimeError):
 
 @dataclass
 class ServiceStats:
-    """Per-loop admission and wave-formation counters.
+    """Per-loop admission and dispatch counters.
+
+    Each dispatch decides one request; ``waves`` counts dispatches and
+    ``full_waves`` counts the dispatches that left at least one request
+    still queued, i.e. the loop was backlogged.  After
+    :meth:`ServingLoop.close`, ``submitted == served + failed +
+    cancelled``.
 
     Per-request wall latencies (submit -> decision delivered) are
-    recorded per wave into a bounded window; :meth:`latency_percentiles`
+    recorded into a bounded window; :meth:`latency_percentiles`
     summarizes them as p50/p95/p99 — the nightly perf gate budgets the
     p99, not just the mean speedup.
     """
@@ -71,17 +74,17 @@ class ServiceStats:
     submitted: int = 0       # requests admitted to the queue
     rejected: int = 0        # requests refused by backpressure
     served: int = 0          # decisions delivered to futures
-    failed: int = 0          # futures rejected by a wave failure
-    waves: int = 0           # waves dispatched
-    full_waves: int = 0      # dispatched because the wave filled
-    deadline_waves: int = 0  # dispatched because the deadline expired
+    failed: int = 0          # futures resolved with the decision's error
+    cancelled: int = 0       # futures cancelled while queued, not decided
+    waves: int = 0           # dispatches (one request each)
+    full_waves: int = 0      # dispatches that left requests queued
     max_queue_depth: int = 0
     latencies_s: deque = field(
         default_factory=lambda: deque(maxlen=_LATENCY_WINDOW),
         repr=False, compare=False)
 
     def record_latencies(self, seconds: Iterable[float]) -> None:
-        """Record one wave's per-request wall latencies."""
+        """Record per-request wall latencies."""
         self.latencies_s.extend(seconds)
 
     def latency_percentiles(self) -> dict[str, float]:
@@ -113,23 +116,16 @@ class _Entry:
 
 
 class ServingLoop:
-    """Adaptive wave formation over a :class:`DecisionBatcher`.
+    """Decide-on-arrival dispatch over a :class:`DecisionBatcher`.
 
-    ``max_wave`` caps wave size (dispatch immediately when reached),
-    ``deadline_s`` caps the oldest request's queueing delay, and
     ``max_queue`` bounds the intake queue (admission control).  Use as
     a context manager, or call :meth:`close`.
     """
 
-    def __init__(self, batcher: "DecisionBatcher", max_wave: int = 16,
-                 deadline_s: float = 0.02, max_queue: int = 256):
-        if max_wave < 1:
-            raise ValueError("max_wave must be at least 1")
-        if max_queue < max_wave:
-            raise ValueError("max_queue must be >= max_wave")
+    def __init__(self, batcher: "DecisionBatcher", max_queue: int = 256):
+        if max_queue < 1:
+            raise ValueError("max_queue must be at least 1")
         self.batcher = batcher
-        self.max_wave = int(max_wave)
-        self.deadline_s = float(deadline_s)
         self.max_queue = int(max_queue)
         self.stats = ServiceStats()
         #: Set by an attached :class:`~repro.serving.monitor.
@@ -181,60 +177,49 @@ class ServingLoop:
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
-    def _next_wave(self) -> list[_Entry] | None:
-        """Block until a wave is due; ``None`` means shut down.
+    def _next(self) -> _Entry | None:
+        """Block until a request is queued and take the oldest one;
+        ``None`` means the loop is closed and the queue drained.
 
-        A wave is due when it fills (``max_wave``), when its oldest
-        request's deadline expires, or when the loop is closing (the
-        final drain serves everything still queued).
+        Entries whose future was cancelled while queued are dropped
+        here; a taken entry's future is running and can no longer be
+        cancelled.
         """
         with self._lock:
             while True:
-                if self._queue:
-                    if (len(self._queue) >= self.max_wave
-                            or not self._open):
-                        break
-                    expiry = (self._queue[0].arrival + self.deadline_s
-                              - time.monotonic())
-                    if expiry <= 0:
-                        break
-                    self._work.wait(timeout=expiry)
-                elif not self._open:
-                    return None
-                else:
+                while not self._queue:
+                    if not self._open:
+                        return None
                     self._work.wait()
-            wave = [self._queue.popleft()
-                    for _ in range(min(self.max_wave,
-                                       len(self._queue)))]
+                entry = self._queue.popleft()
+                self._space.notify()
+                if entry.future.set_running_or_notify_cancel():
+                    break
+                self.stats.cancelled += 1
             self.stats.waves += 1
-            if len(wave) >= self.max_wave:
+            if self._queue:
                 self.stats.full_waves += 1
-            else:
-                self.stats.deadline_waves += 1
-            self._space.notify_all()
-            return wave
+            return entry
 
     def _run(self) -> None:
         while True:
-            wave = self._next_wave()
-            if wave is None:
+            entry = self._next()
+            if entry is None:
                 return
             try:
-                decisions = self.batcher.decide(
-                    [entry.request for entry in wave])
+                [decision] = self.batcher.decide([entry.request])
             except BaseException as error:
+                # As in a ThreadPoolExecutor worker: the error belongs
+                # to this request's future; the dispatcher keeps going.
                 with self._lock:
-                    self.stats.failed += len(wave)
-                for entry in wave:
-                    entry.future.set_exception(error)
+                    self.stats.failed += 1
+                entry.future.set_exception(error)
             else:
                 done = time.monotonic()
                 with self._lock:
-                    self.stats.served += len(wave)
-                    self.stats.record_latencies(
-                        done - entry.arrival for entry in wave)
-                for entry, decision in zip(wave, decisions):
-                    entry.future.set_result(decision)
+                    self.stats.served += 1
+                    self.stats.record_latencies((done - entry.arrival,))
+                entry.future.set_result(decision)
 
     # ------------------------------------------------------------------
     def health_snapshot(self) -> dict:
@@ -250,8 +235,9 @@ class ServingLoop:
     def close(self) -> None:
         """Drain the queue, stop the dispatcher, reject late submits.
 
-        Idempotent; every already-admitted request is still served
-        (the dispatcher drains the queue before exiting)."""
+        Idempotent; every already-admitted request is still decided
+        unless its future was cancelled (the dispatcher drains the
+        queue before exiting)."""
         with self._lock:
             if not self._open and not self._thread.is_alive():
                 return

@@ -15,8 +15,8 @@ The churn-resilience contract (PERFORMANCE.md §16):
   than a from-scratch re-placement, bitwise reproducible under a fixed
   seed, and *recording* (never raising) a full-re-placement fallback
   when no rule-valid pinned candidate exists;
-* :class:`ClusterMonitor` repairs every affected deployment in one
-  wave through the serving machinery, and its :class:`ChurnHealth`
+* :class:`ClusterMonitor` repairs every affected deployment through
+  the serving machinery, and its :class:`ChurnHealth`
   counters stay all-zero on a churn-free run (the CI perf gate
   asserts the benchmark snapshot).
 
@@ -439,8 +439,7 @@ class TestClusterMonitor:
     def test_quiet_monitor_all_zero(self):
         model = _model()
         cluster = _cluster(seed=13)
-        with ServingLoop(DecisionBatcher(model), max_wave=4,
-                         deadline_s=0.005, max_queue=16) as loop:
+        with ServingLoop(DecisionBatcher(model), max_queue=16) as loop:
             monitor, _, _ = _tracked_monitor(loop, model, cluster)
             snapshot = loop.health_snapshot()
         assert all(v == 0 for v in monitor.health.as_dict().values())
@@ -449,8 +448,7 @@ class TestClusterMonitor:
     def test_fail_repairs_affected_deployments(self):
         model = _model()
         cluster = _cluster(seed=17, size=7)
-        with ServingLoop(DecisionBatcher(model), max_wave=8,
-                         deadline_s=0.005, max_queue=32) as loop:
+        with ServingLoop(DecisionBatcher(model), max_queue=32) as loop:
             monitor, ids, decisions = _tracked_monitor(
                 loop, model, cluster)
             lost = decisions[0].placement.used_nodes()[0]
@@ -487,16 +485,16 @@ class TestClusterMonitor:
             assert deployment.placement == decision.placement
 
     def test_loop_and_batcher_repairs_identical(self):
-        """The wave engine is a transport, not a policy: repairs
-        through a ServingLoop equal repairs through a bare batcher on
-        identically-built deployments, bitwise."""
+        """The serving path is a transport, not a policy: repairs
+        through a ServingLoop (one request per decision) equal repairs
+        through a bare batcher (one wave) on identically-built
+        deployments, bitwise."""
         model = _model()
         event = ChurnEvent("degrade", 0, node_index=1, severity=0.25)
         results = []
         for serving_factory in (
                 lambda: DecisionBatcher(model),
-                lambda: ServingLoop(DecisionBatcher(model), max_wave=8,
-                                    deadline_s=0.005, max_queue=32)):
+                lambda: ServingLoop(DecisionBatcher(model), max_queue=32)):
             cluster = _cluster(seed=23, size=6)
             serving = serving_factory()
             monitor, _, _ = _tracked_monitor(serving, model, cluster)
@@ -580,8 +578,7 @@ class TestChurnSweeps:
         runs = []
         for _ in range(2):
             cluster = _cluster(seed=sweep_seed, size=6)
-            with ServingLoop(DecisionBatcher(model), max_wave=8,
-                             deadline_s=0.005, max_queue=32) as loop:
+            with ServingLoop(DecisionBatcher(model), max_queue=32) as loop:
                 monitor, ids, _ = _tracked_monitor(
                     loop, model, cluster, seed=sweep_seed)
                 records, _ = monitor.play(cluster, plan)

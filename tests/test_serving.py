@@ -18,6 +18,11 @@ The throughput engine's contract (PERFORMANCE.md):
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -551,75 +556,186 @@ class TestSharedBlock:
                 _assert_decisions_equal(pooled, fresh)
 
 
+def _optimize(model, requests):
+    optimizer = PlacementOptimizer(model)
+    return [optimizer.optimize(r.plan, r.cluster,
+                               n_candidates=r.n_candidates,
+                               selectivities=r.selectivities, seed=r.seed)
+            for r in requests]
+
+
+def _wait_for_dispatch(loop, waves: int = 1) -> None:
+    """Block until the dispatcher has taken ``waves`` requests."""
+    deadline = time.monotonic() + 30
+    while loop.stats.waves < waves:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+class _GatedBatcher:
+    """Holds every decide call until ``gate`` is set, or for at most
+    ``timeout`` seconds per call."""
+
+    pool = None
+
+    def __init__(self, inner: DecisionBatcher, timeout: float = 30.0):
+        self.inner = inner
+        self.gate = threading.Event()
+        self.timeout = timeout
+
+    def decide(self, wave):
+        self.gate.wait(timeout=self.timeout)
+        return self.inner.decide(wave)
+
+
+class _SteppedBatcher:
+    """Signals ``entered`` on each decide call and holds the call until
+    one ``step`` is released for it."""
+
+    pool = None
+
+    def __init__(self, inner: DecisionBatcher):
+        self.inner = inner
+        self.entered = threading.Semaphore(0)
+        self.step = threading.Semaphore(0)
+
+    def decide(self, wave):
+        self.entered.release()
+        assert self.step.acquire(timeout=30)
+        return self.inner.decide(wave)
+
+
 class TestServingLoop:
     def test_chunking_invariance(self):
-        """The adaptive-wave oracle: however the loop chunks the
-        stream, decisions equal direct wave service bitwise."""
+        """The loop decides each request alone; its decisions equal one
+        direct wave of the whole stream and sequential ``optimize``,
+        bitwise."""
         model = _model()
         requests = _requests(9, seed=67)
         reference = DecisionBatcher(model).decide(requests)
-        for max_wave in (1, 4, 16):
-            with ServingLoop(DecisionBatcher(model), max_wave=max_wave,
-                             deadline_s=0.005, max_queue=32) as loop:
-                _assert_decisions_equal(loop.serve(requests), reference)
+        with ServingLoop(DecisionBatcher(model), max_queue=32) as loop:
+            served = loop.serve(requests)
+        _assert_decisions_equal(served, reference)
+        _assert_decisions_equal(served, _optimize(model, requests))
+        assert loop.stats.waves == loop.stats.served == 9
 
     def test_full_wave_dispatch(self):
+        """``full_waves`` counts the dispatches that left requests
+        queued behind them (the loop was backlogged)."""
         model = _model()
-        requests = _requests(6, seed=71)
-        with ServingLoop(DecisionBatcher(model), max_wave=3,
-                         deadline_s=60.0, max_queue=16) as loop:
-            decisions = loop.serve(requests)
-        assert len(decisions) == 6
-        # A 60s deadline never expires in-test: both waves were full.
+        requests = _requests(4, seed=71)
+        batcher = _GatedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=16)
+        try:
+            futures = [loop.submit(requests[0])]
+            _wait_for_dispatch(loop)  # taken from an otherwise empty queue
+            futures += [loop.submit(request) for request in requests[1:]]
+        finally:
+            batcher.gate.set()
+            loop.close()
+        _assert_decisions_equal([f.result(timeout=30) for f in futures],
+                                _optimize(model, requests))
+        # Requests 1 and 2 left requests queued; 0 and 3 did not.
+        assert loop.stats.waves == loop.stats.served == 4
         assert loop.stats.full_waves == 2
-        assert loop.stats.served == 6
 
-    def test_deadline_dispatch(self):
+    def test_single_request_dispatches_on_arrival(self):
         model = _model()
         request = _requests(1, seed=73)[0]
         reference = DecisionBatcher(model).decide([request])
-        with ServingLoop(DecisionBatcher(model), max_wave=64,
-                         deadline_s=0.01, max_queue=128) as loop:
-            future = loop.submit(request)
-            decision = future.result(timeout=30)
+        with ServingLoop(DecisionBatcher(model), max_queue=128) as loop:
+            decision = loop.submit(request).result(timeout=30)
+            assert loop.stats.waves == 1
         _assert_decisions_equal([decision], reference)
-        # The wave could never fill; only the deadline dispatched it.
-        assert loop.stats.deadline_waves == 1
         assert loop.stats.full_waves == 0
 
-    def test_backpressure_rejects_when_full(self):
-        import threading
-        import time as time_module
+    def test_each_future_resolves_before_the_next_decision(self):
+        """Request 0's future is done while the dispatcher is still
+        deciding request 1: no request waits for another's decision."""
+        model = _model()
+        requests = _requests(2, seed=75)
+        batcher = _SteppedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=16)
+        try:
+            first, second = [loop.submit(request) for request in requests]
+            assert batcher.entered.acquire(timeout=30)
+            batcher.step.release()
+            assert batcher.entered.acquire(timeout=10)
+            assert first.done() and not second.done()
+        finally:
+            batcher.step.release()
+            batcher.step.release()
+            loop.close()
+        _assert_decisions_equal([first.result(), second.result()],
+                                _optimize(model, requests))
 
+    def test_cancelled_queued_future_is_skipped(self):
+        """A future cancelled while queued is never decided, and the
+        dispatcher keeps serving the requests behind it."""
+        model = _model()
+        requests = _requests(3, seed=77)
+        batcher = _GatedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=16)
+        try:
+            futures = [loop.submit(requests[0])]
+            _wait_for_dispatch(loop)
+            futures += [loop.submit(request) for request in requests[1:]]
+            assert futures[1].cancel()
+            batcher.gate.set()
+            last = futures[2].result(timeout=5)
+            assert loop._thread.is_alive()
+        finally:
+            batcher.gate.set()
+            loop.close()
+        assert futures[1].cancelled()
+        _assert_decisions_equal([futures[0].result(), last],
+                                _optimize(model, requests[::2]))
+        stats = loop.stats
+        assert (stats.cancelled, stats.served, stats.failed) == (1, 2, 0)
+        assert stats.submitted == stats.served + stats.failed \
+            + stats.cancelled
+
+    def test_failing_request_fails_alone(self):
+        """A request whose decision raises rejects its own future only;
+        its neighbours still equal ``optimize`` bitwise."""
+        model = _model()
+        good = _requests(2, seed=79)
+        bad = dataclasses.replace(
+            good[0], plan=QueryGenerator(seed=1).generate_linear(),
+            selectivities={"filter1": float("nan")})
+        batcher = _GatedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=16)
+        try:
+            futures = [loop.submit(good[0])]
+            _wait_for_dispatch(loop)
+            futures += [loop.submit(bad), loop.submit(good[1])]
+        finally:
+            batcher.gate.set()
+            loop.close()
+        with pytest.raises(ValueError, match="'filter1'"):
+            futures[1].result(timeout=30)
+        _assert_decisions_equal(
+            [futures[0].result(timeout=30), futures[2].result(timeout=30)],
+            _optimize(model, good))
+        assert (loop.stats.served, loop.stats.failed) == (2, 1)
+
+    def test_backpressure_rejects_when_full(self):
         model = _model()
         requests = _requests(4, seed=79)
-        gate = threading.Event()
-        inner = DecisionBatcher(model)
-
-        class GatedBatcher:
-            pool = None
-
-            def decide(self, wave):
-                gate.wait(timeout=30)
-                return inner.decide(wave)
-
-        loop = ServingLoop(GatedBatcher(), max_wave=1,
-                           deadline_s=60.0, max_queue=2)
+        batcher = _GatedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=2)
         try:
             futures = [loop.submit(requests[0])]
             # Wait until the dispatcher holds request 0 (blocked on the
             # gate) so the queue capacity is entirely ours to fill.
-            deadline = time_module.monotonic() + 30
-            while loop.stats.waves < 1:
-                assert time_module.monotonic() < deadline
-                time_module.sleep(0.001)
+            _wait_for_dispatch(loop)
             futures.append(loop.submit(requests[1]))
             futures.append(loop.submit(requests[2]))
             with pytest.raises(BackpressureError):
                 loop.submit(requests[3])
             assert loop.stats.rejected == 1
         finally:
-            gate.set()
+            batcher.gate.set()
             loop.close()
         assert all(future.result(timeout=30) is not None
                    for future in futures)
@@ -628,8 +744,7 @@ class TestServingLoop:
     def test_close_drains_and_rejects_late_submits(self):
         model = _model()
         requests = _requests(4, seed=83)
-        loop = ServingLoop(DecisionBatcher(model), max_wave=16,
-                           deadline_s=60.0, max_queue=16)
+        loop = ServingLoop(DecisionBatcher(model), max_queue=16)
         futures = [loop.submit(request) for request in requests]
         loop.close()  # must serve everything already admitted
         assert all(future.done() for future in futures)
@@ -643,7 +758,6 @@ class TestServingLoop:
         requests = _requests(4, seed=89)
         with WorkerPool(processes=2, serial=True) as pool:
             with ServingLoop(DecisionBatcher(model, pool=pool),
-                             max_wave=4, deadline_s=0.01,
                              max_queue=16) as loop:
                 loop.serve(requests)
                 snapshot = loop.health_snapshot()
@@ -654,9 +768,33 @@ class TestServingLoop:
     def test_invalid_configuration_rejected(self):
         model = _model()
         with pytest.raises(ValueError):
-            ServingLoop(DecisionBatcher(model), max_wave=0)
-        with pytest.raises(ValueError):
-            ServingLoop(DecisionBatcher(model), max_wave=8, max_queue=4)
+            ServingLoop(DecisionBatcher(model), max_queue=0)
+        # The loop takes no wave size or deadline.
+        with pytest.raises(TypeError):
+            ServingLoop(DecisionBatcher(model), max_wave=8)
+        with pytest.raises(TypeError):
+            ServingLoop(DecisionBatcher(model), deadline_s=0.02)
+
+
+class TestSelectivityValidation:
+    """A non-finite or negative selectivity fails at featurization,
+    naming the operator, on both decision paths."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("path", ["optimize", "decide"])
+    def test_rejected_with_the_operator_named(self, path, value):
+        model = _model()
+        plan = QueryGenerator(seed=1).generate_linear()
+        cluster = sample_cluster(np.random.default_rng(0), 6)
+        selectivities = {"filter1": value}
+        with pytest.raises(ValueError, match="'filter1'"):
+            if path == "optimize":
+                PlacementOptimizer(model).optimize(
+                    plan, cluster, selectivities=selectivities)
+            else:
+                DecisionBatcher(model).decide([DecisionRequest(
+                    plan=plan, cluster=cluster,
+                    selectivities=selectivities)])
 
 
 class TestServiceLatencyStats:
@@ -695,8 +833,7 @@ class TestServiceLatencyStats:
     def test_loop_records_one_latency_per_served_request(self):
         model = _model()
         requests = _requests(6, seed=101)
-        with ServingLoop(DecisionBatcher(model), max_wave=3,
-                         deadline_s=0.005, max_queue=16) as loop:
+        with ServingLoop(DecisionBatcher(model), max_queue=16) as loop:
             loop.serve(requests)
         stats = loop.stats
         assert len(stats.latencies_s) == stats.served == 6
@@ -712,20 +849,21 @@ class TestServiceLatencyStats:
 class TestConcurrentSubmitters:
     """Many producer threads against one loop: no response may be
     lost or duplicated, and every decision must equal the per-request
-    reference regardless of how the waves chunked the race."""
+    reference regardless of how the producers interleaved."""
 
-    @pytest.mark.parametrize("deadline_s", [0.002, 60.0])
-    def test_no_lost_or_duplicated_responses(self, deadline_s):
-        import threading
-
+    @pytest.mark.parametrize("stall_s", [0.002, 60.0])
+    def test_no_lost_or_duplicated_responses(self, stall_s):
+        """Each decision stalls up to ``stall_s`` while the producers
+        run: 2 ms keeps the dispatcher racing them, 60 s holds it on
+        its first request until the whole race has queued."""
         model = _model()
         requests = _requests(12, seed=103)
         reference = DecisionBatcher(model).decide(requests)
-        with ServingLoop(DecisionBatcher(model), max_wave=4,
-                         deadline_s=deadline_s, max_queue=64) as loop:
-            futures: dict[int, object] = {}
-            lock = threading.Lock()
-
+        batcher = _GatedBatcher(DecisionBatcher(model), timeout=stall_s)
+        loop = ServingLoop(batcher, max_queue=64)
+        futures: dict[int, object] = {}
+        lock = threading.Lock()
+        try:
             def producer(indices):
                 for index in indices:
                     future = loop.submit(requests[index], block=True)
@@ -739,33 +877,74 @@ class TestConcurrentSubmitters:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            decisions = [futures[index].result(timeout=30)
-                         for index in range(12)]
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            batcher.gate.set()
+            loop.close()
+        decisions = [futures[index].result(timeout=30)
+                     for index in range(12)]
         assert loop.stats.submitted == loop.stats.served == 12
         assert loop.stats.rejected == loop.stats.failed == 0
         assert len(loop.stats.latencies_s) == 12
+        if stall_s == 60.0:
+            # The held dispatcher left the other 11 requests queued.
+            assert loop.stats.max_queue_depth >= 11
         _assert_decisions_equal(decisions, reference)
 
-    def test_backpressure_accounting_under_contention(self):
-        import threading
-        import time as time_module
+    def test_cancellations_racing_the_dispatcher(self):
+        """Producers cancel each odd-indexed future one submit later,
+        when the dispatcher may or may not have taken it yet: each
+        request is either decided or counted cancelled, never both and
+        never lost."""
+        model = _model()
+        requests = _requests(16, seed=109)
+        reference = DecisionBatcher(model).decide(requests)
+        futures: dict[int, object] = {}
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServingLoop(DecisionBatcher(model), max_queue=4) as loop:
+                def producer(indices):
+                    pending = None
+                    for index in indices:
+                        future = loop.submit(requests[index], block=True)
+                        with lock:
+                            futures[index] = future
+                        if pending is not None:
+                            pending.cancel()
+                        pending = future if index % 2 else None
+                    if pending is not None:
+                        pending.cancel()
 
+                threads = [threading.Thread(target=producer,
+                                            args=(range(start, 16, 4),))
+                           for start in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        cancelled = {index for index, future in futures.items()
+                     if future.cancelled()}
+        stats = loop.stats
+        assert stats.cancelled == len(cancelled)
+        assert stats.submitted == 16 == stats.served + stats.cancelled
+        assert stats.waves == stats.served and stats.failed == 0
+        for index, future in futures.items():
+            if index not in cancelled:
+                _assert_decisions_equal([future.result(timeout=30)],
+                                        [reference[index]])
+
+    def test_backpressure_accounting_under_contention(self):
         model = _model()
         requests = _requests(10, seed=107)
         reference = DecisionBatcher(model).decide(requests)
-        gate = threading.Event()
-        inner = DecisionBatcher(model)
-
-        class GatedBatcher:
-            pool = None
-
-            def decide(self, wave):
-                gate.wait(timeout=30)
-                return inner.decide(wave)
-
-        loop = ServingLoop(GatedBatcher(), max_wave=1,
-                           deadline_s=60.0, max_queue=3)
+        batcher = _GatedBatcher(DecisionBatcher(model))
+        loop = ServingLoop(batcher, max_queue=3)
         accepted: dict[int, object] = {}
         rejections = []
         lock = threading.Lock()
@@ -773,10 +952,7 @@ class TestConcurrentSubmitters:
             first = loop.submit(requests[0])
             # Wait until the dispatcher holds request 0 at the gate so
             # the queue capacity is exactly max_queue for the race.
-            deadline = time_module.monotonic() + 30
-            while loop.stats.waves < 1:
-                assert time_module.monotonic() < deadline
-                time_module.sleep(0.001)
+            _wait_for_dispatch(loop)
 
             def producer(indices):
                 for index in indices:
@@ -797,7 +973,7 @@ class TestConcurrentSubmitters:
             for thread in threads:
                 thread.join()
         finally:
-            gate.set()
+            batcher.gate.set()
             loop.close()
         # Everything admitted was served; everything else was counted
         # as rejected — nothing lost, nothing double-counted.
