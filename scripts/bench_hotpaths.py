@@ -44,17 +44,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="print cProfile top-20s of one placement "
                              "decision and one mega-batched wave")
-    parser.add_argument("--pool-size", type=int, default=0,
-                        help="also run the decision wave on a "
-                             "fork-backed worker pool of this size "
-                             "(0 = skip; the nightly passes 2)")
     args = parser.parse_args(argv)
 
     if args.profile:
         profile_decision(args.scale)
 
-    results = run_hotpath_benchmarks(args.scale, seed=args.seed,
-                                     pool_size=args.pool_size)
+    results = run_hotpath_benchmarks(args.scale, seed=args.seed)
     Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
 
     decision = results["placement_decision"]
@@ -72,19 +67,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"decision:  {decision['speedup']:6.1f}x "
           f"({1e3 * decision['fast_s_per_decision']:.1f} ms/decision, "
           f"{decision['n_candidates']} candidates)")
-    pool_note = ""
-    if "pool" in throughput:
-        pool = throughput["pool"]
-        health = pool.get("health", {})
-        pool_note = (f", pool[{pool['processes']}] "
-                     f"{pool['decisions_per_s_pooled']:,.0f}/s "
-                     f"(degraded waves: "
-                     f"{health.get('degraded_waves', 0)}, restarts: "
-                     f"{health.get('restarts', 0)})")
     print(f"throughput:{throughput['speedup']:6.2f}x wave vs sequential "
           f"({throughput['decisions_per_s_batched']:,.0f} decisions/s, "
           f"wave of {throughput['n_requests']}, "
-          f"f32 {throughput['float32_speedup']:.2f}x{pool_note})")
+          f"f32 {throughput['float32_speedup']:.2f}x)")
     if "service" in throughput:
         service = throughput["service"]
         stats = service["stats"]

@@ -36,11 +36,8 @@ baseline and **fails (exit 1)** when
 * the fast path stops being numerically equivalent to the slow-path
   replicas (``max_abs_delta`` > ``--tolerance``, decisions disagree, or
   the recorded equivalence verdict is False),
-* a recorded worker-pool health block shows the no-fault run took a
-  recovery path (any retry, restart, crash, timeout, corrupt shard, or
-  degraded fallback — the hardening must be free on the happy path),
-  or the serving loop's decisions stop matching the direct wave
-  dispatch / it rejected, failed or cancelled a request,
+* the serving loop's decisions stop matching the direct wave
+  dispatch, or it rejected, failed or cancelled a request,
 * the serving loop's churn counters are non-zero on a no-churn run
   (the benchmark never mutates the cluster, so any repair activity
   means the monitor misfired), the ``churn_repair`` entry is missing,
@@ -69,12 +66,6 @@ def _speedup(results: dict, section: str) -> float:
     return float(results.get(section, {}).get("speedup", 0.0))
 
 
-# A no-fault benchmark run must never exercise the recovery machinery;
-# any non-zero counter here means the pool misclassified healthy work.
-_HEALTH_MUST_BE_ZERO = ("retries", "crashes", "timeouts",
-                        "corrupt_shards", "restarts", "degraded_shards",
-                        "degraded_waves", "reports")
-
 # The benchmark never mutates its clusters, so the attached
 # ClusterMonitor must stay completely quiet: a non-zero counter means
 # churn handling leaked into the no-churn hot path.
@@ -82,17 +73,6 @@ _CHURN_MUST_BE_ZERO = ("churn_events", "joins", "leaves", "fails",
                        "degrades", "skipped_events", "repairs",
                        "full_replacements", "infeasible",
                        "replaced_deployments")
-
-
-def _check_health(health: dict, where: str, failures: list[str]) -> None:
-    dirty = {key: health.get(key, 0) for key in _HEALTH_MUST_BE_ZERO
-             if health.get(key, 0)}
-    print(f"  {where + ' health':<20} "
-          f"{'all zero ok' if not dirty else f'{dirty} FAIL'}")
-    if dirty:
-        failures.append(
-            f"{where} health counters non-zero on a no-fault run: "
-            f"{dirty}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,13 +244,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{wave_f32_budget:.0e}")
         if not throughput.get("float32_decisions_agree", False):
             failures.append("float32 wave flipped a chosen placement")
-        pool = throughput.get("pool")
-        if pool is not None:
-            if not pool.get("matches_single_process", False):
-                failures.append("pool-backed wave decisions diverge "
-                                "from the single-process wave")
-            if "health" in pool:
-                _check_health(pool["health"], "wave pool", failures)
 
     service = throughput.get("service")
     if service is not None:

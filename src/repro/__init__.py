@@ -33,7 +33,7 @@ from .hardware import (Cluster, HardwareNode, Placement, sample_cluster,
 from .placement import (HeuristicPlacementEnumerator, PlacementDecision,
                         PlacementOptimizer)
 from .query import QueryGenerator, QueryPlan
-from .serving import DecisionBatcher, DecisionRequest, WorkerPool
+from .serving import DecisionBatcher, DecisionRequest
 from .simulator import (DSPSSimulator, QueryMetrics, SimulationConfig,
                         SelectivityEstimator)
 
@@ -48,7 +48,7 @@ __all__ = [
     "Placement", "sample_cluster", "sample_node",
     "HeuristicPlacementEnumerator", "PlacementDecision",
     "PlacementOptimizer", "QueryGenerator", "QueryPlan",
-    "DecisionBatcher", "DecisionRequest", "WorkerPool", "DSPSSimulator",
+    "DecisionBatcher", "DecisionRequest", "DSPSSimulator",
     "QueryMetrics", "SimulationConfig", "SelectivityEstimator",
     "__version__",
 ]

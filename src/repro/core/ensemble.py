@@ -124,9 +124,7 @@ class MetricEnsemble:
         snapshot weights (the regression test
         ``tests/test_ensemble_batched.py::TestStackCacheInvalidation::
         test_in_place_mutation_requires_invalidate`` pins both the
-        stale-without and fresh-with behavior).  The fork-backed
-        :class:`repro.serving.WorkerPool` mirrors these rules for its
-        worker snapshots (``WorkerPool.restart`` is its hatch).
+        stale-without and fresh-with behavior).
         """
         self._stacks.clear()
         self._stack_params = None

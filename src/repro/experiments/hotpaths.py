@@ -44,7 +44,7 @@ from ..placement.repair import PlacementRepairer
 from ..query.generator import QueryGenerator
 from ..query.plan import QueryPlan
 from ..serving import (ClusterMonitor, DecisionBatcher, DecisionRequest,
-                       ServingLoop, WorkerPool)
+                       ServingLoop)
 from ..training import BatchSchedule, StackedTrainer
 from .scale import ExperimentScale, get_scale
 
@@ -377,8 +377,7 @@ def _throughput_requests(scale: ExperimentScale,
 
 
 def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
-                               n_requests: int,
-                               pool_size: int = 0) -> dict:
+                               n_requests: int) -> dict:
     """Cross-decision serving: one mega-batched wave vs sequential
     ``optimize`` calls over the same mixed-plan decision stream.
 
@@ -388,9 +387,7 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
     whole stream.  float64 wave decisions must be bitwise identical to
     the sequential path; the float32 end-to-end wave must stay within
     :data:`FLOAT32_TOLERANCE` at the *decision* level and never flip a
-    chosen placement.  ``pool_size > 0`` additionally runs the wave on
-    a fork-backed :class:`repro.serving.WorkerPool` once and checks it
-    returns the identical decisions.
+    chosen placement.
     """
     model = _throughput_model(scale)
     optimizer = PlacementOptimizer(model, objective="processing_latency")
@@ -466,27 +463,6 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
         "float32_decisions_agree": bool(float32_agree),
         "float32_tolerance": FLOAT32_TOLERANCE,
     }
-    if pool_size > 0:
-        with WorkerPool(processes=pool_size) as pool:
-            pooled_batcher = DecisionBatcher(
-                model, objective="processing_latency", pool=pool)
-            pooled = pooled_batcher.decide(requests)  # fork + warm-up
-            pooled_s = _best_of(lambda: pooled_batcher.decide(requests),
-                                repeats)
-            result["pool"] = {
-                "processes": pool_size,
-                "serial_fallback": pool.serial,
-                "pooled_s_per_decision": pooled_s / n_requests,
-                "decisions_per_s_pooled": n_requests / max(pooled_s,
-                                                           1e-12),
-                "matches_single_process": bool(all(
-                    p.placement == b.placement
-                    and p.predicted_objective == b.predicted_objective
-                    for p, b in zip(pooled, batched_decisions))),
-                # The no-fault health counters the CI gate pins to
-                # zero: the hardening must be free on the happy path.
-                "health": pool.health.as_dict(),
-            }
 
     # The serving front door over the same request stream: deciding
     # each request on arrival must serve decisions identical to direct
@@ -495,8 +471,7 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
                                      objective="processing_latency"),
                      max_queue=4 * n_requests) as loop:
         # A monitor with no churn events: its counters must all stay
-        # at zero on this quiet run — the CI gate pins them, exactly
-        # like the pool's no-fault health counters.
+        # at zero on this quiet run — the CI gate pins them.
         monitor = ClusterMonitor(loop)
         served = loop.serve(requests)  # warm-up outside the clock
         service_s = _best_of(lambda: loop.serve(requests), repeats)
@@ -832,13 +807,8 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
 
 
 def run_hotpath_benchmarks(scale_name: str | None = None,
-                           seed: int = 7, pool_size: int = 0) -> dict:
-    """Run all hot-path benchmarks; returns the ``BENCH_hotpaths`` dict.
-
-    ``pool_size > 0`` additionally exercises the fork-backed worker
-    pool inside the decision-throughput benchmark (the nightly runs
-    pool size 2 once).
-    """
+                           seed: int = 7) -> dict:
+    """Run all hot-path benchmarks; returns the ``BENCH_hotpaths`` dict."""
     scale = get_scale(scale_name)
     sizes = {
         "tiny": {"corpus": 120, "epochs": 2, "plans": 2, "repeats": 2,
@@ -859,8 +829,7 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
                                        n_plans=sizes["plans"])
     gc.collect()
     throughput_result = _bench_decision_throughput(
-        scale, repeats=sizes["repeats"] + 3, n_requests=sizes["wave"],
-        pool_size=pool_size)
+        scale, repeats=sizes["repeats"] + 3, n_requests=sizes["wave"])
     gc.collect()
     collation_result = _bench_candidate_collation(
         scale, repeats=max(sizes["repeats"] * 4, 10))

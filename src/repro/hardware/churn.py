@@ -2,13 +2,12 @@
 
 The paper's evaluation is static — one fixed cluster per query — but a
 deployed edge-cloud placer faces hosts joining, degrading and failing
-mid-stream.  This module makes that churn *seeded and addressable*,
-mirroring the fault-injection discipline of
-:mod:`repro.serving.faults`: a :class:`ChurnPlan` names exactly which
-host mutates, how, and at which deterministic tick;
-:meth:`ChurnPlan.random` draws a reproducible plan from a seed (same
-seed, same chaos); and a :class:`ChurnTrace` replays a plan against a
-live :class:`~repro.hardware.cluster.Cluster`, logging every applied
+mid-stream.  This module makes that churn *seeded and addressable*:
+a :class:`ChurnPlan` names exactly which host mutates, how, and at
+which deterministic tick; :meth:`ChurnPlan.random` draws a
+reproducible plan from a seed (same seed, same chaos); and a
+:class:`ChurnTrace` replays a plan against a live
+:class:`~repro.hardware.cluster.Cluster`, logging every applied
 mutation.  Replaying the same plan against identically-sampled
 clusters yields bitwise-identical cluster states — the determinism
 oracle the churn-repair tests pin down.
@@ -104,8 +103,7 @@ class ChurnPlan:
     """An immutable, reproducible sequence of :class:`ChurnEvent`.
 
     Events are kept sorted by tick (stable: same-tick events keep
-    their given order), mirroring :class:`~repro.serving.faults.
-    FaultPlan` for pool faults.
+    their given order).
     """
 
     events: tuple[ChurnEvent, ...] = ()

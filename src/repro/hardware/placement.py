@@ -60,16 +60,8 @@ class Placement:
 
     def validate(self, plan: QueryPlan, cluster: Cluster) -> None:
         """Check the placement covers the plan and stays in the cluster."""
-        missing = [o for o in plan.topological_order()
-                   if o not in self.assignment]
-        if missing:
-            raise PlacementError(f"operators without a node: {missing}")
-        extra = [o for o in self.assignment if o not in plan]
-        if extra:
-            raise PlacementError(f"placement names unknown operators: {extra}")
-        unknown = [n for n in self.assignment.values() if n not in cluster]
-        if unknown:
-            raise PlacementError(f"placement uses unknown nodes: {unknown}")
+        _check_cover(plan, cluster, self.assignment,
+                     self.assignment.values())
 
     def with_move(self, op_id: str, node_id: str) -> "Placement":
         """Copy with one operator migrated to another node."""
@@ -145,6 +137,28 @@ class IndexCandidates(Sequence):
             self._placements[index] = placement
         return placement
 
+    def validate(self, plan: QueryPlan, cluster: Cluster) -> None:
+        """Check every row covers the plan and stays in the cluster.
+
+        One check over ``op_ids`` and ``node_ids`` covers all rows.
+        """
+        _check_cover(plan, cluster, self.op_ids, self.node_ids)
+
     def __repr__(self) -> str:
         return (f"IndexCandidates({len(self)} candidates, "
                 f"{self.n_ops} operators, {len(self.node_ids)} nodes)")
+
+
+def _check_cover(plan: QueryPlan, cluster: Cluster, op_ids, node_ids
+                 ) -> None:
+    """Raise :class:`PlacementError` unless ``op_ids`` are exactly the
+    plan's operators and every one of ``node_ids`` is in ``cluster``."""
+    missing = [o for o in plan.topological_order() if o not in op_ids]
+    if missing:
+        raise PlacementError(f"operators without a node: {missing}")
+    extra = [o for o in op_ids if o not in plan]
+    if extra:
+        raise PlacementError(f"placement names unknown operators: {extra}")
+    unknown = [n for n in node_ids if n not in cluster]
+    if unknown:
+        raise PlacementError(f"placement uses unknown nodes: {unknown}")

@@ -18,8 +18,7 @@ times every kernel this way::
         decisions = batcher.decide(requests)
 
 The selection is a per-process global (like the ``float32_inference``
-dtype).  Forked :class:`repro.serving.pool.WorkerPool` workers keep
-the backend that was active when they forked.
+dtype).
 """
 
 from __future__ import annotations

@@ -20,7 +20,9 @@ Guarantees (see PERFORMANCE.md):
   documented decision-level tolerance;
 * configurations the mega-batch cannot serve exactly (legacy kernels,
   the ``traditional`` scheme, single-graph candidate batches) fall
-  back to per-request scoring with identical results.
+  back to per-request scoring with identical results;
+* pre-enumerated candidates are checked against their request's plan
+  and cluster before any of them is scored.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for typing
     from ..core.costream import Costream
-    from .pool import WorkerPool
 from ..core.graph import featurize_hosts
 from ..hardware.cluster import Cluster
 from ..hardware.placement import IndexCandidates, Placement
@@ -54,7 +55,9 @@ class DecisionRequest:
     (experiment drivers that need the enumeration drawn from a shared
     RNG stream) — a tuple of :class:`Placement` or an index-native
     :class:`~repro.hardware.IndexCandidates` matrix; the enumerator is
-    skipped then.
+    skipped then.  They must be non-empty, place exactly the plan's
+    operators and use only the cluster's nodes, or
+    :meth:`DecisionBatcher.decide` raises :class:`ValueError`.
     """
 
     plan: QueryPlan
@@ -70,34 +73,24 @@ class DecisionBatcher:
 
     One instance wraps one :class:`~repro.core.costream.Costream` and
     objective, like :class:`~repro.placement.PlacementOptimizer` — and
-    reuses its candidate selection, so decisions are identical.  An
-    optional :class:`~repro.serving.pool.WorkerPool` shards waves
-    across processes; without one, the wave runs single-process
-    (deterministic, and the mode every equivalence test pins down).
+    reuses its candidate selection, so decisions are identical.  Every
+    wave runs in-process.
     """
 
     def __init__(self, model: "Costream",
-                 objective: str = "processing_latency",
-                 pool: "WorkerPool | None" = None):
+                 objective: str = "processing_latency"):
         self.model = model
         self.objective = objective
-        self.pool = pool
         self._optimizer = PlacementOptimizer(model, objective)
 
     # ------------------------------------------------------------------
     def decide(self, requests: Iterable[DecisionRequest]
                ) -> list[PlacementDecision]:
-        """Serve one wave of decisions (order matches the requests)."""
+        """Serve one wave of decisions (order matches the requests):
+        one mega-batch, one pass per metric."""
         requests = list(requests)
         if not requests:
             return []
-        if self.pool is not None and len(requests) > 1:
-            return self.pool.run_wave(self, requests)
-        return self.decide_serial(requests)
-
-    def decide_serial(self, requests: Sequence[DecisionRequest]
-                      ) -> list[PlacementDecision]:
-        """The single-process wave: one mega-batch, one pass per metric."""
         candidates = [self._candidates_for(request)
                       for request in requests]
         values, feasible, bounds = self.score_wave(requests, candidates)
@@ -164,11 +157,26 @@ class DecisionBatcher:
         :class:`~repro.hardware.IndexCandidates` matrix that flows
         straight into vectorized collation; only chosen placements are
         materialized as strings (in the decisions).
+
+        Pre-enumerated candidates are checked first: collation would
+        otherwise fail deep inside numpy or graph construction, or score
+        a placement that leaves operators unplaced.  Raises
+        :class:`ValueError` (a :class:`~repro.hardware.PlacementError`
+        naming the operators or nodes at fault) when they are empty,
+        do not place exactly the plan's operators, or use a node the
+        request's cluster lacks.
         """
         if request.candidates is not None:
             cands = request.candidates
-            return (cands if isinstance(cands, IndexCandidates)
-                    else list(cands))
+            if isinstance(cands, IndexCandidates):
+                checked = (cands,)  # one check covers every row
+            else:
+                cands = checked = list(cands)
+            if len(cands) == 0:
+                raise ValueError("pre-enumerated candidates are empty")
+            for candidate in checked:
+                candidate.validate(request.plan, request.cluster)
+            return cands
         enumerator = HeuristicPlacementEnumerator(request.cluster,
                                                   seed=request.seed)
         cands = enumerator.enumerate_indices(request.plan,

@@ -11,10 +11,10 @@ ServingLoop` (or straight into a :class:`~repro.serving.batcher.
 DecisionBatcher` wave), so repair scoring rides the exact path
 production decisions use and inherits its bitwise guarantees.
 
-:class:`ChurnHealth` extends the :class:`~repro.serving.faults.
-PoolHealth` discipline to churn: every counter is zero on a no-churn
-run, ``bench_hotpaths.py`` snapshots the counters after the quiet
-service benchmark, and the CI perf gate asserts they stayed zero.
+:class:`ChurnHealth` counts churn and repair work: every counter is
+zero on a no-churn run, ``bench_hotpaths.py`` snapshots the counters
+after the quiet service benchmark, and the CI perf gate asserts they
+stayed zero.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ __all__ = ["ChurnHealth", "ClusterMonitor", "Deployment"]
 class ChurnHealth:
     """Churn/repair counters (all zero on a churn-free run).
 
-    Mirrors :class:`~repro.serving.faults.PoolHealth`: the benchmark
-    snapshot of a quiet run must show every counter at zero — the
-    churn machinery is free unless churn actually happens — and the
-    perf gate enforces it.
+    The benchmark snapshot of a quiet run must show every counter at
+    zero — the churn machinery is free unless churn actually happens —
+    and the perf gate enforces it.
     """
 
     churn_events: int = 0        # events observed (applied or skipped)
@@ -83,7 +82,7 @@ class ClusterMonitor:
     traffic) or a bare :class:`DecisionBatcher` (repair requests form
     one direct wave).  Attaching to a loop also registers
     :attr:`health` so ``loop.health_snapshot()`` reports the churn
-    counters next to the pool's.
+    counters next to the loop's own.
     """
 
     def __init__(self, serving: Union[ServingLoop, DecisionBatcher],

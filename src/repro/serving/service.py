@@ -25,8 +25,9 @@ decision raises fails its own future only; a future cancelled while
 queued is skipped without being decided.
 
 :meth:`health_snapshot` merges the loop's :class:`ServiceStats` with
-the underlying pool's :class:`~repro.serving.faults.PoolHealth` so
-``bench_hotpaths.py`` and operators read one dict.
+an attached :class:`~repro.serving.monitor.ClusterMonitor`'s
+:class:`~repro.serving.monitor.ChurnHealth` so ``bench_hotpaths.py``
+and operators read one dict.
 """
 
 from __future__ import annotations
@@ -223,11 +224,8 @@ class ServingLoop:
 
     # ------------------------------------------------------------------
     def health_snapshot(self) -> dict:
-        """Loop stats merged with the pool's and churn health counters."""
+        """Loop stats merged with the churn health counters."""
         snapshot = {"service": self.stats.as_dict()}
-        pool = getattr(self.batcher, "pool", None)
-        if pool is not None:
-            snapshot["pool"] = pool.health.as_dict()
         if self.churn_health is not None:
             snapshot["churn"] = self.churn_health.as_dict()
         return snapshot

@@ -43,8 +43,7 @@ from repro.placement.enumeration import HeuristicPlacementEnumerator
 from repro.placement.optimizer import PlacementOptimizer
 from repro.placement.repair import PlacementRepairer, repair_set
 from repro.query.generator import QueryGenerator
-from repro.serving import (ClusterMonitor, DecisionBatcher, ServingLoop,
-                           WorkerPool)
+from repro.serving import ClusterMonitor, DecisionBatcher, ServingLoop
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -509,23 +508,6 @@ class TestClusterMonitor:
             assert other.placement == outcome.placement
             assert other.objective == outcome.objective
             assert other.full_replacement == outcome.full_replacement
-
-    def test_serial_pool_repairs_match_plain(self):
-        model = _model()
-        event = ChurnEvent("fail", 0, node_index=2)
-        results = []
-        with WorkerPool(processes=2, serial=True) as pool:
-            for batcher in (DecisionBatcher(model),
-                            DecisionBatcher(model, pool=pool)):
-                cluster = _cluster(seed=29, size=6)
-                monitor, _, _ = _tracked_monitor(batcher, model, cluster)
-                _, outcomes = monitor.observe(cluster, event)
-                results.append(outcomes)
-        plain, pooled = results
-        assert sorted(plain) == sorted(pooled)
-        for deployment_id, outcome in plain.items():
-            assert pooled[deployment_id].placement == outcome.placement
-            assert pooled[deployment_id].objective == outcome.objective
 
     def test_untrack_stops_repairs(self):
         model = _model()

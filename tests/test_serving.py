@@ -1,4 +1,4 @@
-"""Cross-decision serving: mega-batching, float32 end-to-end, pool.
+"""Cross-decision serving: mega-batching, float32 end-to-end, the loop.
 
 The throughput engine's contract (PERFORMANCE.md):
 
@@ -11,9 +11,11 @@ The throughput engine's contract (PERFORMANCE.md):
 * under :class:`repro.nn.float32_inference` featurization/collation
   are float32 end-to-end, bitwise equal to the old cast-at-forward
   path and within the documented decision-level tolerance of float64;
-* the worker pool returns decisions identical to the single-process
-  wave in every backend (fork and serial fallback), under any active
-  compute backend.
+* pre-enumerated candidates that do not fit their request's plan and
+  cluster are rejected before scoring, naming what is wrong;
+* the serving loop decides each request on arrival, bitwise equal to
+  sequential ``optimize``, under concurrent submitters, cancellation
+  and backpressure.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ from repro.core.graph import (collate, collate_chunks, mega_mergeable,
                               merge_batches)
 from repro.core.training import TrainingConfig
 from repro.hardware.cluster import sample_cluster
-from repro.nn import ComputeBackend, compute_backend, float32_inference
+from repro.hardware.placement import IndexCandidates, Placement
+from repro.nn import float32_inference
 from repro.placement.enumeration import HeuristicPlacementEnumerator
 from repro.placement.optimizer import PlacementOptimizer
 from repro.query.generator import QueryGenerator
 from repro.serving import (BackpressureError, DecisionBatcher,
-                           DecisionRequest, ServingLoop, WorkerPool)
-from repro.serving.pool import _SharedBlock, _fork_available
+                           DecisionRequest, ServingLoop)
 
-# Per-test deadline (enforced by pytest-timeout in CI): pool and
-# serving-loop tests must never wedge the suite.
+# Per-test deadline (enforced by pytest-timeout in CI): serving-loop
+# tests block on threads and must never wedge the suite.
 pytestmark = pytest.mark.timeout(120)
 
 _METRICS = ("processing_latency", "success", "backpressure")
@@ -305,257 +307,6 @@ class TestFloat32EndToEnd:
         assert rel <= FLOAT32_TOLERANCE
 
 
-class TestWorkerPool:
-    def test_serial_fallback_matches_single_process(self):
-        model = _model()
-        requests = _requests(5, seed=23)
-        plain = DecisionBatcher(model).decide(requests)
-        with WorkerPool(processes=2, serial=True) as pool:
-            pooled = DecisionBatcher(model, pool=pool).decide(requests)
-        _assert_decisions_equal(plain, pooled)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_pool_matches_single_process(self):
-        model = _model()
-        requests = _requests(5, seed=29)
-        plain = DecisionBatcher(model).decide(requests)
-        with WorkerPool(processes=2) as pool:
-            assert not pool.serial
-            batcher = DecisionBatcher(model, pool=pool)
-            _assert_decisions_equal(plain, batcher.decide(requests))
-            # Persistent workers: a second wave reuses them.
-            _assert_decisions_equal(plain, batcher.decide(requests))
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_pool_honours_float32_context(self):
-        """The inference dtype is a per-process global: each wave task
-        carries the parent's active dtype, so pooled waves match the
-        serial path both inside and outside ``float32_inference`` even
-        though the workers forked outside the context."""
-        model = _model()
-        requests = _requests(4, seed=37)
-        with WorkerPool(processes=2) as pool:
-            batcher = DecisionBatcher(model, pool=pool)
-            batcher.decide(requests)  # fork workers in float64 mode
-            serial = DecisionBatcher(model)
-            with float32_inference():
-                _assert_decisions_equal(batcher.decide(requests),
-                                        serial.decide(requests))
-            # ... and back out: the workers must not stay float32.
-            _assert_decisions_equal(batcher.decide(requests),
-                                    serial.decide(requests))
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_pool_under_custom_compute_backend(self):
-        """An installed ComputeBackend subclass (like perfbench's
-        TimingBackend, which carries a ``name`` of its own) must not
-        push a fault-free wave onto the recovery path."""
-
-        class Tagged(ComputeBackend):
-            name = "tagged"
-
-        model = _model()
-        requests = _requests(6, seed=61)
-        plain = DecisionBatcher(model).decide(requests)
-        with compute_backend(Tagged()):
-            with WorkerPool(processes=2) as pool:
-                pooled = DecisionBatcher(model, pool=pool).decide(
-                    requests)
-        _assert_decisions_equal(plain, pooled)
-        assert pool.health.retries == 0
-        assert pool.health.crashes == 0
-        assert pool.health.degraded_shards == 0
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_pool_reforks_after_weight_replacement(self):
-        """Staleness follows the MemberStack rules: any parameter-array
-        replacement since the last fork is detected, so pooled
-        decisions never serve stale weights."""
-        model = _model()
-        requests = _requests(4, seed=31)
-        with WorkerPool(processes=2) as pool:
-            batcher = DecisionBatcher(model, pool=pool)
-            batcher.decide(requests)  # workers forked with seed-0 weights
-            for ensemble in model.ensembles.values():
-                for member in ensemble.members:
-                    state = member.network.state_dict()
-                    shifted = {key: value + 0.05
-                               for key, value in state.items()}
-                    member.network.load_state_dict(shifted)
-            fresh = DecisionBatcher(model).decide(requests)
-            _assert_decisions_equal(batcher.decide(requests), fresh)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_staleness_refresh_is_in_place(self):
-        """ISSUE-5: a weight replacement on the SAME model refreshes
-        the workers through the shared-memory parameter block instead
-        of reforking — the executor object survives, and repeated
-        refreshes keep serving fresh weights."""
-        model = _model()
-        requests = _requests(4, seed=41)
-        with WorkerPool(processes=2) as pool:
-            batcher = DecisionBatcher(model, pool=pool)
-            batcher.decide(requests)
-            executor = pool._executor
-            assert executor is not None
-            for shift in (0.03, -0.02):
-                for ensemble in model.ensembles.values():
-                    for member in ensemble.members:
-                        state = member.network.state_dict()
-                        member.network.load_state_dict(
-                            {key: value + shift
-                             for key, value in state.items()})
-                fresh = DecisionBatcher(model).decide(requests)
-                _assert_decisions_equal(batcher.decide(requests), fresh)
-                assert pool._executor is executor, \
-                    "refresh should not refork the workers"
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_different_model_still_reforks(self):
-        """Shared-memory refresh only covers the registered model: a
-        different model (or objective) restarts the workers."""
-        model = _model()
-        other = _model()
-        for ensemble in other.ensembles.values():
-            for member in ensemble.members:
-                state = member.network.state_dict()
-                member.network.load_state_dict(
-                    {key: value + 0.2 for key, value in state.items()})
-        requests = _requests(3, seed=43)
-        with WorkerPool(processes=2) as pool:
-            DecisionBatcher(model, pool=pool).decide(requests)
-            executor = pool._executor
-            other_batcher = DecisionBatcher(other, pool=pool)
-            pooled = other_batcher.decide(requests)
-            assert pool._executor is not executor
-            _assert_decisions_equal(
-                pooled, DecisionBatcher(other).decide(requests))
-
-    def test_shard_indices_cover_everything(self):
-        pool = WorkerPool(processes=3, serial=True)
-        shards = pool.shard_indices(8)
-        assert sorted(np.concatenate(shards).tolist()) == list(range(8))
-        assert all(shard.size for shard in shards)
-        assert len(pool.shard_indices(2)) == 2
-
-    def test_close_is_idempotent(self):
-        model = _model()
-        requests = _requests(3, seed=47)
-        pool = WorkerPool(processes=2, serial=True)
-        DecisionBatcher(model, pool=pool).decide(requests)
-        pool.close()
-        pool.close()  # second close must be a no-op, not an error
-        with pool:
-            pass  # __exit__ is a third close
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_close_is_idempotent_and_releases(self):
-        from repro.serving.pool import _FORK_MODELS
-
-        model = _model()
-        requests = _requests(3, seed=53)
-        pool = WorkerPool(processes=2)
-        DecisionBatcher(model, pool=pool).decide(requests)
-        token = pool._token
-        assert token in _FORK_MODELS
-        pool.close()
-        assert token not in _FORK_MODELS, \
-            "close must drop the fork registration that pins the model"
-        pool.close()
-        assert pool._executor is None
-
-    def test_repro_serial_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        assert WorkerPool(processes=2).serial
-        monkeypatch.setenv("REPRO_SERIAL", "0")
-        pool = WorkerPool(processes=2)
-        assert pool.serial == (not _fork_available())
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        # An explicit serial= argument still wins over the env.
-        assert not WorkerPool(processes=2, serial=False).serial
-
-    def test_repro_serial_env_results_identical(self, monkeypatch):
-        model = _model()
-        requests = _requests(4, seed=59)
-        plain = DecisionBatcher(model).decide(requests)
-        monkeypatch.setenv("REPRO_SERIAL", "1")
-        with WorkerPool(processes=2) as pool:
-            assert pool.serial
-            _assert_decisions_equal(
-                plain, DecisionBatcher(model, pool=pool).decide(requests))
-
-
-class TestSharedBlock:
-    def _arrays(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return [rng.standard_normal((3, 4)),
-                rng.standard_normal(5).astype(np.float32),
-                rng.standard_normal((2, 2, 2))]
-
-    def test_write_then_generation_bump_ordering(self):
-        """A reader that observes generation N is guaranteed to see
-        the values of write N: the construction write already bumps
-        the generation once, and every later write copies every array
-        before the counter moves."""
-        arrays = self._arrays()
-        block = _SharedBlock(arrays)
-        assert block.generation == 1  # construction performed write #1
-        for view, array in zip(block.views, arrays):
-            np.testing.assert_array_equal(view, array)
-        fresh = self._arrays(seed=1)
-        block.write(fresh)
-        assert block.generation == 2
-        for view, array in zip(block.views, fresh):
-            np.testing.assert_array_equal(view, array)
-
-    def test_matches_is_shape_dtype_not_identity(self):
-        arrays = self._arrays()
-        block = _SharedBlock(arrays)
-        assert block.matches(arrays)
-        # Different array objects, same slots: still a match (the
-        # block is reusable across parameter replacement).
-        assert block.matches(self._arrays(seed=9))
-        # Changed shape, dtype, or count: no match.
-        wrong_shape = self._arrays()
-        wrong_shape[0] = wrong_shape[0].reshape(4, 3)
-        assert not block.matches(wrong_shape)
-        wrong_dtype = self._arrays()
-        wrong_dtype[1] = wrong_dtype[1].astype(np.float64)
-        assert not block.matches(wrong_dtype)
-        assert not block.matches(arrays[:-1])
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_worker_resync_after_refresh_racing_dispatch(self):
-        """ISSUE-6 satellite: an in-place weight refresh immediately
-        followed by a wave dispatch must never serve stale weights —
-        the workers see the generation bump on the very next shard
-        they compute (write precedes bump, so the sync is complete)."""
-        model = _model()
-        requests = _requests(4, seed=61)
-        with WorkerPool(processes=2) as pool:
-            batcher = DecisionBatcher(model, pool=pool)
-            batcher.decide(requests)  # fork with the seed-0 weights
-            for shift in (0.04, -0.03, 0.01):
-                for ensemble in model.ensembles.values():
-                    for member in ensemble.members:
-                        state = member.network.state_dict()
-                        member.network.load_state_dict(
-                            {key: value + shift
-                             for key, value in state.items()})
-                # No settling time: refresh and dispatch back-to-back.
-                pooled = batcher.decide(requests)
-                fresh = DecisionBatcher(model).decide(requests)
-                _assert_decisions_equal(pooled, fresh)
-
-
 def _optimize(model, requests):
     optimizer = PlacementOptimizer(model)
     return [optimizer.optimize(r.plan, r.cluster,
@@ -576,8 +327,6 @@ class _GatedBatcher:
     """Holds every decide call until ``gate`` is set, or for at most
     ``timeout`` seconds per call."""
 
-    pool = None
-
     def __init__(self, inner: DecisionBatcher, timeout: float = 30.0):
         self.inner = inner
         self.gate = threading.Event()
@@ -591,8 +340,6 @@ class _GatedBatcher:
 class _SteppedBatcher:
     """Signals ``entered`` on each decide call and holds the call until
     one ``step`` is released for it."""
-
-    pool = None
 
     def __init__(self, inner: DecisionBatcher):
         self.inner = inner
@@ -753,18 +500,6 @@ class TestServingLoop:
             loop.submit(requests[0])
         loop.close()  # idempotent
 
-    def test_health_snapshot_merges_pool_health(self):
-        model = _model()
-        requests = _requests(4, seed=89)
-        with WorkerPool(processes=2, serial=True) as pool:
-            with ServingLoop(DecisionBatcher(model, pool=pool),
-                             max_queue=16) as loop:
-                loop.serve(requests)
-                snapshot = loop.health_snapshot()
-        assert snapshot["service"]["served"] == 4
-        assert "pool" in snapshot
-        assert snapshot["pool"]["degraded_waves"] == 0
-
     def test_invalid_configuration_rejected(self):
         model = _model()
         with pytest.raises(ValueError):
@@ -795,6 +530,56 @@ class TestSelectivityValidation:
                 DecisionBatcher(model).decide([DecisionRequest(
                     plan=plan, cluster=cluster,
                     selectivities=selectivities)])
+
+
+def _stale_index_candidates(plan, cluster):
+    """Candidates enumerated before one of their nodes left."""
+    candidates = HeuristicPlacementEnumerator(
+        cluster, seed=0).enumerate_indices(plan, 10)
+    cluster.remove_node("host1")
+    return candidates
+
+
+def _on_one_node(plan, node_id="host2"):
+    return {op_id: node_id for op_id in plan.topological_order()}
+
+
+class TestCandidateValidation:
+    """Pre-enumerated candidates are checked against the request's plan
+    and cluster before any of them is scored: a bad set raises
+    ``ValueError`` naming what is wrong, instead of failing inside
+    collation or scoring a placement that leaves operators unplaced."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda plan, cluster: (), "candidates are empty",
+                     id="empty-tuple"),
+        pytest.param(lambda plan, cluster: IndexCandidates(
+            np.empty((0, len(plan)), dtype=np.int64),
+            plan.topological_order(), cluster.node_ids),
+            "candidates are empty", id="empty-index-matrix"),
+        pytest.param(lambda plan, cluster: (Placement(
+            {**_on_one_node(plan), "sink": "other1"}),),
+            r"unknown nodes: \['other1'\]", id="node-not-in-cluster"),
+        pytest.param(lambda plan, cluster: (Placement(
+            {**_on_one_node(plan), "ghost": "host2"}),),
+            r"unknown operators: \['ghost'\]", id="operator-not-in-plan"),
+        pytest.param(_stale_index_candidates,
+                     r"unknown nodes: \['host1'\]",
+                     id="index-matrix-node-removed"),
+        pytest.param(lambda plan, cluster: (Placement({"src1": "host2"}),),
+                     r"operators without a node: \['src2', 'filter2_1', "
+                     r"'join1', 'agg1', 'sink'\]",
+                     id="partial-placement"),
+    ])
+    def test_rejected_before_scoring(self, make, message):
+        plan = QueryGenerator(seed=3).generate_two_way()
+        cluster = sample_cluster(np.random.default_rng(0), 5)
+        assert len(plan) == 6
+        candidates = make(plan, cluster)
+        request = DecisionRequest(plan=plan, cluster=cluster,
+                                  candidates=candidates)
+        with pytest.raises(ValueError, match=message):
+            DecisionBatcher(_model()).decide([request])
 
 
 class TestServiceLatencyStats:
