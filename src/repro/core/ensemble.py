@@ -8,17 +8,19 @@ majority vote for the binary metrics.
 Inference runs on a *member stack* (:class:`repro.core.model.
 MemberStack`): the K members' weights are stacked into 3-D tensors and
 one batched-GEMM forward computes every member's prediction at once.
-The float64 stack is bitwise identical to the per-member path (kept as
-:meth:`MetricEnsemble._member_predictions_reference`, the executable
-numerical reference); :class:`repro.nn.float32_inference` opts in to a
-float32 stack with a documented tolerance (see PERFORMANCE.md).
+The float64 stack is bitwise identical to running each member's taped
+forward (the tests' numerical reference);
+:class:`repro.nn.float32_inference` opts in to a float32 stack with a
+documented tolerance (see PERFORMANCE.md).  Members of the
+``traditional`` scheme, which has no stack, predict through their
+taped ``predict_raw``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn.autodiff import _legacy_kernels_enabled, inference_dtype
+from ..nn.autodiff import inference_dtype
 from .features import Featurizer
 from .graph import GraphBatch, QueryGraph, as_batches
 from .model import MemberStack
@@ -74,14 +76,14 @@ class MetricEnsemble:
 
     def _train(self, graphs, labels, val_graphs=None, val_labels=None,
                epochs=None) -> None:
-        """Train the members: stacked lock-step when opted in
+        """Train the members: one K-member lock-step run when opted in
         (``TrainingConfig.member_training == "stacked"`` and the
-        manual-step envelope covers the configuration), the historical
-        per-member loop otherwise.  The stacked run draws ONE shared
-        ensemble-seeded schedule; it is bitwise identical to looping
-        ``member.fit`` under that same schedule
-        (:func:`repro.training.fit_members_sequential`, the retained
-        and tested reference)."""
+        stacked step covers the configuration), K one-member runs
+        under member-seeded schedules otherwise.  The lock-step run
+        draws ONE shared ensemble-seeded schedule; it is bitwise
+        identical to looping ``member.fit`` under that same schedule
+        (:func:`repro.training.fit_members_sequential`, the tested
+        reference)."""
         if self._stacked_training_supported():
             # Imported here: repro.training builds on repro.core.
             from ..training.stacked import StackedTrainer
@@ -95,12 +97,11 @@ class MetricEnsemble:
                        epochs=epochs)
 
     def _stacked_training_supported(self) -> bool:
-        """Whether the opt-in stacked trainer covers this ensemble.
+        """Whether the opt-in lock-step run covers this ensemble.
 
-        The envelope itself (staged scheme, no dropout, no legacy
-        kernels) has ONE definition — the manual step's, via
-        :meth:`StackedTrainer.supported` — so it cannot drift from
-        what the trainer actually accepts.
+        The envelope (the staged scheme, or a single member) has ONE
+        definition, :meth:`StackedTrainer.supported`, so it cannot
+        drift from what the trainer actually accepts.
         """
         if self.members[0].config.member_training != "stacked":
             return False
@@ -166,9 +167,7 @@ class MetricEnsemble:
 
     def _supports_batched(self) -> bool:
         """Whether the batched-GEMM stack covers this configuration."""
-        return (not _legacy_kernels_enabled()
-                and all(m.network.scheme == "staged"
-                        for m in self.members))
+        return all(m.network.scheme == "staged" for m in self.members)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -184,49 +183,28 @@ class MetricEnsemble:
     def _member_predictions(self, graphs) -> np.ndarray:
         """(size, n_graphs) member predictions from one shared collation.
 
-        The fast path runs ONE batched-GEMM forward per batch over the
-        stacked member weights — float64 stacks are bitwise equivalent
-        to :meth:`_member_predictions_reference`, float32 stacks (under
+        Runs ONE batched-GEMM forward per batch over the stacked member
+        weights — float64 stacks are bitwise equivalent to each
+        member's taped forward, float32 stacks (under
         :class:`repro.nn.float32_inference`) are within the documented
-        tolerance.  Raw outputs are mapped to label space in float64
-        either way.
+        tolerance.  Schemes without a stack run each member's taped
+        ``predict_raw``.  Raw outputs are mapped to label space in
+        float64 either way; no graphs give a ``(size, 0)`` array.
         """
         batches = self._shared_batches(graphs)
+        if not batches:
+            return np.empty((self.size, 0))
         if not self._supports_batched():
-            return self._member_predictions_reference(batches)
-        stack = self.member_stack()
-        if len(batches) == 1:
-            raw = stack.forward_arrays(batches[0])
+            raw = np.stack([m.predict_raw(batches) for m in self.members])
         else:
-            raw = np.concatenate(
-                [stack.forward_arrays(batch) for batch in batches],
-                axis=1)
+            stack = self.member_stack()
+            if len(batches) == 1:
+                raw = stack.forward_arrays(batches[0])
+            else:
+                raw = np.concatenate(
+                    [stack.forward_arrays(batch) for batch in batches],
+                    axis=1)
         raw = raw.astype(np.float64, copy=False)
-        return self.members[0].to_label_space(raw)
-
-    def _member_predictions_reference(self, graphs) -> np.ndarray:
-        """Per-member forwards from one shared collation — the
-        numerical reference for the batched-GEMM stack.
-
-        Drives every member's array-only forward over the same batches
-        (one collation, no per-member tensor or mode bookkeeping) and
-        applies the label-space transform once.  Bitwise equivalent to
-        calling each member's ``predict``.
-        """
-        batches = self._shared_batches(graphs)
-        if _legacy_kernels_enabled():
-            return np.stack([m.predict(batches) for m in self.members])
-        if len(batches) == 1:
-            batch = batches[0]
-            raw = np.stack([
-                np.atleast_1d(m.network._forward_arrays(batch))
-                for m in self.members])
-        else:
-            raw = np.stack([
-                np.concatenate(
-                    [np.atleast_1d(m.network._forward_arrays(b))
-                     for b in batches])
-                for m in self.members])
         return self.members[0].to_label_space(raw)
 
     def predict(self, graphs: list[QueryGraph] | GraphBatch) -> np.ndarray:

@@ -24,10 +24,9 @@ import numpy as np
 
 from ..nn import MLP, Module, StackedMLP, Tensor, concat, gather, \
     scatter_rows, segment_sum
-from ..nn.autodiff import (_legacy_kernels_enabled, _scatter_add,
+from ..nn.autodiff import (_legacy_kernels_enabled,
                            flat_scatter_add as _flat_scatter_add,
-                           gather_segment_sum, is_grad_enabled,
-                           stacked_flat_scatter_add)
+                           gather_segment_sum, stacked_flat_scatter_add)
 from ..nn.losses import _loss_and_grad_arrays
 from .features import Featurizer, NODE_TYPES
 from .graph import GraphBatch, StageSlice
@@ -39,9 +38,9 @@ MESSAGE_SCHEMES = ("staged", "traditional")
 
 
 def _segmented_readout(readout, pooled: np.ndarray,
-                       segments: np.ndarray | None,
-                       axis: int) -> np.ndarray:
-    """Readout MLP over pooled states, one GEMM per merged segment.
+                       segments: np.ndarray | None) -> np.ndarray:
+    """Readout MLP over ``(K, n_graphs, hidden)`` pooled member states,
+    one GEMM per merged segment.
 
     For directly collated batches (``segments is None``) this is one
     readout call.  For batches produced by
@@ -50,75 +49,53 @@ def _segmented_readout(readout, pooled: np.ndarray,
     (hidden, 1)`` GEMM is the one kernel whose per-row results depend
     on ``n`` (BLAS switches kernels with the row count), so the merged
     forward would otherwise drift from per-batch scoring at the last
-    ulp.  ``axis`` is the graph axis: 0 for ``(n_graphs, hidden)``
-    single-member pooled states, 1 for ``(K, n_graphs, hidden)`` member
-    stacks.
+    ulp.
     """
     if segments is None:
         return np.squeeze(readout.forward_array(pooled), axis=-1)
     outputs = []
     start = 0
-    index = [slice(None)] * pooled.ndim
     for count in segments:
-        index[axis] = slice(start, start + int(count))
-        outputs.append(readout.forward_array(pooled[tuple(index)]))
+        outputs.append(readout.forward_array(
+            pooled[:, start:start + int(count)]))
         start += int(count)
-    return np.squeeze(np.concatenate(outputs, axis=axis), axis=-1)
+    return np.squeeze(np.concatenate(outputs, axis=1), axis=-1)
 
 
 class CostreamGNN(Module):
     """One cost-metric head over the joint operator-resource graph.
 
     The network outputs one scalar per graph: the ``log1p`` of the cost
-    for regression metrics, or a logit for the binary metrics.
+    for regression metrics, or a logit for the binary metrics.  It owns
+    the weights and the taped forward.  The tape trains the
+    ``traditional`` scheme and serves single-model predictions; it is
+    also the reference every array path is tested against.  Staged
+    training and ensemble inference run these weights through
+    :class:`TrainableMemberStack` / :class:`MemberStack` (one member
+    is a stack of one).
     """
 
     def __init__(self, featurizer: Featurizer | None = None,
                  hidden_dim: int = 48, seed: int = 0,
-                 scheme: str = "staged", traditional_rounds: int = 3,
-                 dropout: float = 0.0):
+                 scheme: str = "staged", traditional_rounds: int = 3):
         if scheme not in MESSAGE_SCHEMES:
             raise ValueError(f"unknown message-passing scheme {scheme!r}")
         self.featurizer = featurizer or Featurizer()
         self.hidden_dim = hidden_dim
         self.scheme = scheme
         self.traditional_rounds = traditional_rounds
-        self.training = True
         rng = np.random.default_rng(seed)
         self.encoders: dict[str, MLP] = {
             node_type: MLP(self.featurizer.feature_dim(node_type),
-                           [hidden_dim], hidden_dim, rng, dropout=dropout)
+                           [hidden_dim], hidden_dim, rng)
             for node_type in NODE_TYPES}
         self.combiners: dict[str, MLP] = {
-            node_type: MLP(2 * hidden_dim, [hidden_dim], hidden_dim, rng,
-                           dropout=dropout)
+            node_type: MLP(2 * hidden_dim, [hidden_dim], hidden_dim, rng)
             for node_type in NODE_TYPES}
-        self.readout = MLP(hidden_dim, [hidden_dim], 1, rng,
-                           dropout=dropout)
-
-    # ------------------------------------------------------------------
-    def train(self) -> None:
-        self.training = True
-        for module in self._mlps():
-            module.train()
-
-    def eval(self) -> None:
-        self.training = False
-        for module in self._mlps():
-            module.eval()
-
-    def _mlps(self):
-        yield from self.encoders.values()
-        yield from self.combiners.values()
-        yield self.readout
+        self.readout = MLP(hidden_dim, [hidden_dim], 1, rng)
 
     # ------------------------------------------------------------------
     def forward(self, batch: GraphBatch) -> Tensor:
-        if not self.training and not is_grad_enabled():
-            # Inference fast path: no tape will be consumed, so run the
-            # identical arithmetic on raw arrays without building any
-            # autodiff objects at all.
-            return Tensor(self._forward_arrays(batch))
         hidden = self._encode(batch)
         if self.scheme == "staged":
             hidden = self._apply_stage(hidden, batch.ops_to_hw)
@@ -141,158 +118,6 @@ class CostreamGNN(Module):
             hidden = scatter_rows(hidden, rows, states)
         return hidden
 
-    # ------------------------------------------------------------------
-    # Array-only inference path (no autodiff objects)
-    # ------------------------------------------------------------------
-    def _forward_arrays(self, batch: GraphBatch) -> np.ndarray:
-        """Same computation as the taped forward, on plain ndarrays.
-
-        Every expression mirrors the Tensor ops one-to-one (same kernel,
-        same operand order), so outputs are bitwise identical to the
-        taped path in eval mode.
-        """
-        hidden_dim = self.hidden_dim
-        hidden = np.zeros((batch.n_nodes, hidden_dim))
-        for node_type, rows in batch.type_rows.items():
-            hidden[rows] = self.encoders[node_type].forward_array(
-                batch.type_features[node_type])
-        if self.scheme == "staged":
-            # Staged updates read post-update states anyway, and
-            # ``hidden`` is a local buffer — update it in place,
-            # following the flattened schedule cached on the batch.
-            combiners = self.combiners
-            for group in batch.stage_plan(hidden_dim):
-                for node_type, recv, src, flat_seg, n_recv in group:
-                    if src is not None:
-                        aggregated = _flat_scatter_add(
-                            flat_seg, hidden[src], n_recv)
-                    else:
-                        aggregated = np.zeros((n_recv, hidden_dim))
-                    combined = np.concatenate(
-                        [aggregated, hidden[recv]], axis=-1)
-                    hidden[recv] = \
-                        combiners[node_type].forward_array(combined)
-        else:
-            for _ in range(self.traditional_rounds):
-                hidden = self._apply_stage_arrays(hidden,
-                                                  batch.neighbor_rounds,
-                                                  simultaneous=True)
-        pooled = _flat_scatter_add(batch.flat_graph_id(self.hidden_dim),
-                                   hidden, batch.n_graphs)
-        return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=0)
-
-    def _apply_stage_arrays(self, hidden: np.ndarray,
-                            slices: dict[str, StageSlice],
-                            simultaneous: bool = False) -> np.ndarray:
-        out = hidden.copy()
-        # Staged updates read the partially-updated states (the taped
-        # path re-points ``source`` after every slice); the traditional
-        # rounds read the pre-update states throughout.
-        source = hidden if simultaneous else out
-        for node_type, stage in slices.items():
-            if stage.recv_rows.size == 0:
-                continue
-            if stage.edge_src.size:
-                messages = source[stage.edge_src]
-                aggregated = _flat_scatter_add(
-                    stage.flat_seg(self.hidden_dim), messages,
-                    stage.recv_rows.size)
-            else:
-                aggregated = np.zeros((stage.recv_rows.size,
-                                       self.hidden_dim))
-            own = source[stage.recv_rows]
-            combined = np.concatenate([aggregated, own], axis=-1)
-            out[stage.recv_rows] = \
-                self.combiners[node_type].forward_array(combined)
-        return out
-
-    # ------------------------------------------------------------------
-    # Manual training step (tape-free forward + backward)
-    # ------------------------------------------------------------------
-    def supports_manual_step(self) -> bool:
-        """Whether :meth:`loss_and_grad` covers this configuration."""
-        dropout_active = any(
-            m.dropout is not None and m.dropout.rate > 0.0
-            for m in self._mlps())
-        return (self.scheme == "staged" and not dropout_active
-                and not _legacy_kernels_enabled())
-
-    def loss_and_grad(self, batch: GraphBatch, labels: np.ndarray,
-                      loss_kind: str) -> float:
-        """One training step without the autodiff tape.
-
-        Forward and backward are written out by hand for the staged
-        scheme, replaying the exact kernels of the taped path in the
-        exact reverse order the tape would execute, so the loss value
-        and every parameter gradient are bitwise identical to
-        ``loss.backward()`` — with none of the per-op bookkeeping.
-        Gradients accumulate into ``param.grad`` as usual.
-        """
-        hidden_dim = self.hidden_dim
-        hidden = np.zeros((batch.n_nodes, hidden_dim))
-        encode_cache = []
-        for node_type, rows in batch.type_rows.items():
-            out, cache = self.encoders[node_type].forward_array_cached(
-                batch.type_features[node_type])
-            hidden[rows] = out
-            encode_cache.append((node_type, rows, cache))
-
-        update_cache = []
-        for slices in (batch.ops_to_hw, batch.hw_to_ops,
-                       *batch.flow_levels):
-            for node_type, stage in slices.items():
-                if stage.recv_rows.size == 0:
-                    continue
-                if stage.edge_src.size:
-                    messages = hidden[stage.edge_src]
-                    aggregated = _flat_scatter_add(
-                        stage.flat_seg(hidden_dim), messages,
-                        stage.recv_rows.size)
-                else:
-                    aggregated = np.zeros((stage.recv_rows.size,
-                                           hidden_dim))
-                own = hidden[stage.recv_rows]
-                combined = np.concatenate([aggregated, own], axis=-1)
-                out, cache = self.combiners[node_type] \
-                    .forward_array_cached(combined)
-                hidden[stage.recv_rows] = out
-                update_cache.append((node_type, stage, cache))
-
-        pooled = _flat_scatter_add(batch.flat_graph_id(hidden_dim),
-                                   hidden, batch.n_graphs)
-        raw, readout_cache = self.readout.forward_array_cached(pooled)
-        pred = np.squeeze(raw, axis=-1)
-        loss_value, grad_pred = _loss_and_grad_arrays(pred, labels,
-                                                      loss_kind)
-
-        # Backward sweep: exact reverse of the forward op order.  Each
-        # hidden version's gradient receives its three contributions in
-        # the tape's order: scatter base (recv rows zeroed), own-state
-        # gather, then message aggregation.
-        grad_pooled = self.readout.backward_array(
-            grad_pred.reshape(-1, 1), readout_cache)
-        grad_hidden = grad_pooled[batch.graph_id]
-        for node_type, stage, cache in reversed(update_cache):
-            recv = stage.recv_rows
-            grad_updated = grad_hidden[recv]
-            grad_hidden[recv] = 0.0
-            grad_combined = self.combiners[node_type].backward_array(
-                grad_updated, cache)
-            grad_own = grad_combined[:, hidden_dim:]
-            grad_hidden += _scatter_add(recv, grad_own, batch.n_nodes)
-            if stage.edge_src.size:
-                grad_agg = grad_combined[:, :hidden_dim]
-                grad_hidden += _scatter_add(stage.edge_src,
-                                            grad_agg[stage.edge_seg],
-                                            batch.n_nodes)
-        for node_type, rows, cache in reversed(encode_cache):
-            self.encoders[node_type].backward_array(
-                grad_hidden[rows], cache, input_grad=False)
-        return loss_value
-
-    # ------------------------------------------------------------------
-    # Taped message passing (training path)
     # ------------------------------------------------------------------
     def _apply_stage(self, hidden: Tensor,
                      slices: dict[str, StageSlice],
@@ -326,23 +151,21 @@ class CostreamGNN(Module):
 class MemberStack:
     """K ensemble members' weights stacked for batched-GEMM inference.
 
-    Where :meth:`CostreamGNN._forward_arrays` runs one member's staged
-    forward on ``(n, d)`` activations, this runs every member at once
-    on ``(K, n, d)`` stacks: every encoder/combiner/readout GEMM is a
-    single ``np.matmul`` over stacked weights
-    (:class:`repro.nn.StackedMLP`), and the message scatter-adds are
-    one member-tiled bincount
-    (:func:`repro.nn.autodiff.stacked_flat_scatter_add`).  Each
-    batched kernel is bitwise identical per member to the per-member
-    kernel, so with float64 stacks :meth:`forward_arrays` equals
-    stacking K :meth:`CostreamGNN._forward_arrays` calls bit for bit —
-    the equivalence `tests/test_ensemble_batched.py` asserts.
+    Runs every member's staged forward at once on ``(K, n, d)``
+    stacks: every encoder/combiner/readout GEMM is a single
+    ``np.matmul`` over stacked weights (:class:`repro.nn.StackedMLP`),
+    and the message scatter-adds are one member-tiled bincount
+    (:func:`repro.nn.autodiff.stacked_flat_scatter_add`).  Each batched
+    kernel is bitwise identical per member to the kernel the taped
+    :meth:`CostreamGNN.forward` runs, so with float64 stacks
+    :meth:`forward_arrays` equals stacking K taped forwards bit for
+    bit — the equivalence `tests/test_ensemble_batched.py` asserts.
+    This is the only array-only forward of the network.
 
     A stack is a read-only *snapshot* of the member weights (copied,
     and cast once when ``dtype`` is float32).  Only the ``staged``
-    scheme is supported — callers gate on
-    :meth:`MetricEnsemble._supports_batched` and fall back to the
-    per-member reference otherwise.
+    scheme is supported — :class:`~repro.core.ensemble.MetricEnsemble`
+    serves other schemes through the members' taped ``predict_raw``.
     """
 
     def __init__(self, networks: list[CostreamGNN],
@@ -426,7 +249,7 @@ class MemberStack:
             batch.member_flat_graph_id(hidden_dim, size),
             hidden.reshape(size, n_nodes, hidden_dim), batch.n_graphs)
         return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=1)
+                                  batch.readout_segments)
 
 
 class TrainableMemberStack(MemberStack):
@@ -435,24 +258,28 @@ class TrainableMemberStack(MemberStack):
     Where :class:`MemberStack` is a read-only inference snapshot, this
     stack owns gradient-carrying parameter Tensors (``(K, fan_in,
     fan_out)`` weight stacks, stepped in place by
-    :class:`repro.nn.StackedAdam`) and runs the K members' manual
-    training step — :meth:`CostreamGNN.loss_and_grad` — as ONE stacked
-    forward/backward per mini-batch: stacked GEMMs
+    :class:`repro.nn.StackedAdam`) and runs the K members' staged
+    training step as ONE stacked forward/backward per mini-batch
+    (:meth:`loss_and_grad`): stacked GEMMs
     (:meth:`repro.nn.StackedMLP.backward_array`), shared-index
     gathers, per-member bincount scatter-adds over one cache-hot flat
     index, and per-member losses/gradients computed by the exact
-    per-member loss kernel.  Every batched kernel replays the
-    per-member kernel per slice, so — fed the same mini-batch — member
-    ``k``'s loss value and every parameter gradient are bitwise
-    identical to ``networks[k].loss_and_grad``; the
-    :class:`repro.training.StackedTrainer` equivalence tests pin the
-    whole trajectory down.
+    per-member loss kernel.  Every batched kernel replays the taped
+    kernel per slice, so — fed the same mini-batch — member ``k``'s
+    loss value and every parameter gradient are bitwise identical to
+    the taped forward plus ``loss.backward()`` on ``networks[k]``.  A
+    single cost model trains as a one-member stack
+    (:class:`repro.training.StackedTrainer`).
+
+    Validation runs the inherited :meth:`MemberStack.forward_arrays`:
+    the stacked weights are live aliases of the parameter Tensors, so
+    it always reads the current values.
 
     Construction *copies* the members' current weights in (preserving
     each member's seed-derived initialization); the trainer writes
     member slices back through :meth:`member_state` +
     ``load_state_dict`` when training ends.  float64 and the ``staged``
-    scheme only, like the manual step it mirrors.
+    scheme only.
     """
 
     def __init__(self, networks: list[CostreamGNN]):
@@ -474,10 +301,6 @@ class TrainableMemberStack(MemberStack):
         return [param for mlp in self._stacked_mlps()
                 for param in mlp.trainable_parameters()]
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     def member_state(self, member: int) -> dict[str, np.ndarray]:
         """One member's parameter slices as a
         :meth:`~repro.nn.Module.state_dict` (member-shaped copies)."""
@@ -491,10 +314,11 @@ class TrainableMemberStack(MemberStack):
                       loss_kind: str) -> np.ndarray:
         """One stacked training step; returns the ``(K,)`` loss values.
 
-        The member-stacked mirror of :meth:`CostreamGNN.loss_and_grad`.
-        The K members' hidden states live in one ``(K * n_nodes,
-        hidden)`` buffer so every gather and row update is a fast
-        axis-0 fancy index over row-tiled node indices
+        Forward and backward are written out by hand, replaying the
+        taped path's kernels (the backward in the exact order the tape
+        would run it).  The K members' hidden states live in one
+        ``(K * n_nodes, hidden)`` buffer so every gather and row
+        update is a fast axis-0 fancy index over row-tiled node indices
         (:meth:`~repro.core.graph.GraphBatch.member_train_plan` — row
         tiling only: the ``size * E * width`` flat-index expansion the
         inference stacks cache would never amortize on a batch that is
@@ -593,66 +417,16 @@ class TrainableMemberStack(MemberStack):
                 input_grad=False)
         return losses
 
-    def forward_members(self, batch: GraphBatch) -> np.ndarray:
-        """Forward-only stacked pass over the *training* plan buffers.
-
-        The forward half of :meth:`loss_and_grad` without the caches —
-        used for the per-epoch validation forward, so validation never
-        round-trips through the inference :class:`MemberStack` (whose
-        member-tiled ``size * E * width`` flat indexes a training run
-        has no other use for).  Every kernel is the one
-        :meth:`MemberStack.forward_arrays` runs per member (same
-        stacked GEMMs, per-member bincount over the same flat index,
-        same segmented readout), so the ``(K, n_graphs)`` outputs are
-        bitwise identical to the inference stack's.
-        """
-        size = self.size
-        hidden_dim = self.hidden_dim
-        n_nodes = batch.n_nodes
-        hidden = np.zeros((size * n_nodes, hidden_dim))
-        hidden3 = hidden.reshape(size, n_nodes, hidden_dim)
-        for node_type, rows in batch.member_type_rows(size).items():
-            hidden[rows] = self.encoders[node_type].forward_array(
-                batch.type_features[node_type]).reshape(-1, hidden_dim)
-        combiners = self.combiners
-        for entry in batch.member_train_plan(size):
-            node_type, stage, recv, src, _ = entry
-            n_recv = stage.recv_rows.size
-            if src is not None:
-                messages = hidden[src].reshape(size, -1, hidden_dim)
-                flat_seg = stage.flat_seg(hidden_dim)
-                aggregated = np.empty((size, n_recv, hidden_dim))
-                for k in range(size):
-                    aggregated[k] = _flat_scatter_add(
-                        flat_seg, messages[k], n_recv)
-            else:
-                aggregated = np.zeros((size, n_recv, hidden_dim))
-            own = hidden[recv].reshape(size, n_recv, hidden_dim)
-            combined = np.concatenate([aggregated, own], axis=-1)
-            hidden[recv] = combiners[node_type].forward_array(
-                combined).reshape(-1, hidden_dim)
-        flat_gid = batch.flat_graph_id(hidden_dim)
-        pooled = np.empty((size, batch.n_graphs, hidden_dim))
-        for k in range(size):
-            pooled[k] = _flat_scatter_add(flat_gid, hidden3[k],
-                                          batch.n_graphs)
-        return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=1)
-
     def loss_over_batches(self, pairs, loss_kind: str) -> np.ndarray:
         """``(K,)`` mean losses over pre-collated ``(batch, labels)``
         pairs — the stacked mirror of
         :meth:`~repro.core.training.CostModel._loss_over_batches`
         (same per-batch loss values, same graph-count-weighted
-        accumulation order per member).  Runs :meth:`forward_members`
-        (the training-plan buffers, bitwise equal to the inference
-        stack's forward), so per-epoch validation shares the training
-        batch caches instead of building inference-stack indexes.
-        """
+        accumulation order per member)."""
         total = np.zeros(self.size)
         count = 0
         for batch, chunk_labels in pairs:
-            raw = self.forward_members(batch).reshape(self.size, -1)
+            raw = self.forward_arrays(batch).reshape(self.size, -1)
             for member in range(self.size):
                 loss, _ = _loss_and_grad_arrays(raw[member],
                                                 chunk_labels, loss_kind)

@@ -10,8 +10,9 @@ training hyper-parameters) plus one array per network parameter.
 building blocks underneath — a JSON header plus named arrays in one
 ``.npz``, written **atomically** (temp file + ``os.replace``) so a
 process killed mid-write can never leave a truncated checkpoint
-behind.  ``CostModel.fit`` and ``StackedTrainer.fit`` build their
-epoch-granular resume on them (PERFORMANCE.md §13).
+behind.  The training loop (``StackedTrainer.fit``, which
+``CostModel.fit`` runs) builds its epoch-granular resume on them
+(PERFORMANCE.md §13).
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ __all__ = ["save_costream", "load_costream",
 
 _HEADER_KEY = "__costream_header__"
 _CHECKPOINT_HEADER_KEY = "__checkpoint_header__"
-_FORMAT_VERSION = 1
+#: Bumped whenever an older header's ``config`` no longer loads into
+#: :class:`TrainingConfig`, so old files fail with a clear message.
+_FORMAT_VERSION = 2
 
 
 def save_checkpoint(path: str | Path, header: dict,
@@ -113,6 +116,5 @@ def load_costream(path: str | Path) -> Costream:
                     for key in archive.files
                     if key.startswith(f"{metric}/{index}/")}
                 member.network.load_state_dict(state)
-                member.network.eval()
             model.ensembles[metric] = ensemble
     return model

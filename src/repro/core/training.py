@@ -4,34 +4,26 @@ Each of the five cost metrics gets its own GNN (Section IV-A): MSLE
 loss for the regression metrics (throughput, latencies), binary cross
 entropy for backpressure occurrence and query success.  Training uses
 Adam with gradient clipping, mini-batched graph collation, and early
-stopping on a validation split.
+stopping on a validation split.  A single model trains through the
+same loop as an ensemble — :class:`repro.training.StackedTrainer`
+with one member.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..nn import Adam, Tensor, bce_with_logits_loss, clip_grad_norm, \
-    mse_loss, msle_loss, no_grad
+from ..nn import Tensor, bce_with_logits_loss, mse_loss, msle_loss, \
+    no_grad
 from ..simulator.result import METRIC_NAMES, REGRESSION_METRICS
 from .features import Featurizer
-from .graph import GraphBatch, QueryGraph, as_batches, collate
+from .graph import GraphBatch, QueryGraph, as_batches
 from .model import CostreamGNN
 
 __all__ = ["TrainingConfig", "CostModel", "TrainingHistory",
            "paired_batches", "holdout_size", "resolve_loss_kind"]
-
-
-def _jsonable(value):
-    """Normalize through JSON so in-memory fingerprints compare equal
-    to checkpoint headers read back from disk (tuples become lists,
-    dict keys become strings)."""
-    return json.loads(json.dumps(value))
 
 
 def _oversampled_pool(labels: np.ndarray) -> np.ndarray:
@@ -67,9 +59,7 @@ def holdout_size(n_graphs: int, val_fraction: float) -> int:
 
     A too-small validation split makes early stopping pick an
     arbitrary epoch; hold out at least ~20 graphs when the dataset
-    affords it.  ONE definition, shared by :meth:`CostModel.fit` and
-    the stacked trainer — the bitwise equivalence between them rests
-    on identical splits, so the formula must not fork.
+    affords it.
     """
     return max(1, int(n_graphs * val_fraction),
                min(20, n_graphs // 5))
@@ -78,7 +68,7 @@ def holdout_size(n_graphs: int, val_fraction: float) -> int:
 def resolve_loss_kind(config: "TrainingConfig",
                       is_regression: bool) -> str:
     """The concrete loss behind ``config.loss`` (``"auto"`` resolves
-    by metric kind) — shared by the sequential and stacked trainers."""
+    by metric kind) — shared by the taped and the stacked step."""
     if config.loss == "auto":
         return "msle" if is_regression else "bce"
     return config.loss
@@ -100,16 +90,16 @@ class TrainingConfig:
     val_fraction: float = 0.1   # used when no explicit val set is given
     scheme: str = "staged"      # or "traditional" (Exp 7b)
     loss: str = "auto"          # "msle" | "mse" | "bce" | "auto"
-    dropout: float = 0.0
     balance_classes: bool = True  # oversample minority class (binary)
     #: How :class:`~repro.core.ensemble.MetricEnsemble` trains its
-    #: members: ``"per_member"`` (the historical default: K sequential
-    #: ``CostModel.fit`` runs, each drawing its own member-seeded
-    #: schedule) or ``"stacked"`` (the
-    #: :class:`repro.training.StackedTrainer`: one shared
+    #: members — two different training runs of the one loop:
+    #: ``"per_member"`` (the historical default: K ``CostModel.fit``
+    #: runs, each a one-member stack under its own member-seeded
+    #: schedule) or ``"stacked"`` (one
+    #: :class:`repro.training.StackedTrainer` run: one shared
     #: ensemble-seeded schedule, all K members stepped in one
     #: batched-GEMM forward/backward per mini-batch — bitwise
-    #: identical to the sequential loop under that shared schedule).
+    #: identical to K one-member runs under that shared schedule).
     member_training: str = "per_member"
 
 
@@ -133,8 +123,7 @@ class CostModel:
         self.seed = seed
         self.network = CostreamGNN(self.featurizer,
                                    hidden_dim=self.config.hidden_dim,
-                                   seed=seed, scheme=self.config.scheme,
-                                   dropout=self.config.dropout)
+                                   seed=seed, scheme=self.config.scheme)
         self.history = TrainingHistory()
 
     # ------------------------------------------------------------------
@@ -163,211 +152,39 @@ class CostModel:
             on_epoch_end=None) -> TrainingHistory:
         """Train until convergence or the epoch budget is exhausted.
 
-        ``schedule`` (a :class:`repro.training.BatchSchedule`) replaces
-        the member-seeded RNG draws — train/val split and per-epoch
-        shuffles — with a shared, cached source.  This is how
-        K ensemble members train comparably: the same ``fit`` loop
-        under one schedule is the sequential reference the stacked
-        trainer (:class:`repro.training.StackedTrainer`) is bitwise
-        identical to.
+        Runs the one training loop, :meth:`repro.training.
+        StackedTrainer.fit`, with this model as its only member: a
+        one-member stack for the staged scheme, the tape for
+        ``traditional``.  Without a ``schedule`` (a
+        :class:`repro.training.BatchSchedule`) the split and the
+        per-epoch shuffles are drawn from ``BatchSchedule(self.seed)``;
+        passing one shared schedule to K members is how they train
+        comparably — K such runs are bitwise identical to one
+        K-member lock-step run under that schedule.
 
         ``checkpoint_path`` enables epoch-granular crash recovery
         (PERFORMANCE.md §13): every ``checkpoint_every`` epochs the
         complete training state — weights, best-state snapshot, Adam
-        moments, early-stopping counters, histories, and the RNG state
-        — is written atomically.  A run killed at ANY point and
-        re-invoked with ``resume=True`` (same data, same arguments)
-        continues from the last checkpoint and finishes **bitwise
-        identical** to the uninterrupted run: same loss trajectories,
-        same early-stopping epoch, same final parameters.  A kill
-        mid-epoch replays that epoch from its start (the restored RNG
-        / schedule state regenerates the identical mini-batch order).
-        ``on_epoch_end(epoch)`` is called after each epoch's
-        checkpoint; exceptions propagate (tests use it to simulate
-        kills at exact epoch boundaries).
+        moments, early-stopping counters and histories — is written
+        atomically.  A run killed at ANY point and re-invoked with
+        ``resume=True`` (same data, same arguments) continues from the
+        last checkpoint and finishes **bitwise identical** to the
+        uninterrupted run: same loss trajectories, same early-stopping
+        epoch, same final parameters.  A kill mid-epoch replays that
+        epoch from its start (the schedule regenerates the identical
+        mini-batch order).  ``on_epoch_end(epoch)`` is called after
+        each epoch's checkpoint; exceptions propagate (tests use it to
+        simulate kills at exact epoch boundaries).  Malformed inputs
+        raise ``ValueError`` before any draw or collation.
         """
-        labels = np.asarray(labels, dtype=np.float64)
-        rng = (np.random.default_rng(self.seed) if schedule is None
-               else None)
-        if val_graphs is None:
-            n_val = holdout_size(len(graphs), self.config.val_fraction)
-            order = (rng.permutation(len(graphs)) if schedule is None
-                     else schedule.split_order(len(graphs)))
-            val_rows, train_rows = order[:n_val], order[n_val:]
-            val_graphs = [graphs[i] for i in val_rows]
-            val_labels = labels[val_rows]
-            graphs = [graphs[i] for i in train_rows]
-            labels = labels[train_rows]
+        # Imported here: repro.training builds on repro.core.
+        from ..training.stacked import StackedTrainer
 
-        # The parameter list is static during training; walking the
-        # module tree once instead of once per mini-batch.
-        parameters = self.network.parameters()
-        optimizer = Adam(parameters,
-                         lr=self.config.learning_rate,
-                         weight_decay=self.config.weight_decay)
-        best_val = float("inf")
-        best_state = self.network.state_dict()
-        epochs_since_best = 0
-        budget = epochs if epochs is not None else self.config.epochs
-
-        # Binary labels are heavily imbalanced in the corpus (failures
-        # and backpressure are the minority); oversample the minority
-        # class so the classifier cannot win by always predicting the
-        # majority.
-        sample_pool = np.arange(len(graphs))
-        if not self.is_regression and self.config.balance_classes:
-            sample_pool = _oversampled_pool(labels)
-
-        # The validation mini-batches are identical every epoch;
-        # collate them once instead of rebuilding them per epoch
-        # (once per *ensemble* when a shared schedule caches them).
-        val_pairs = (self._paired_batches(val_graphs, val_labels)
-                     if schedule is None
-                     else schedule.val_pairs(val_graphs, val_labels,
-                                             self.config.batch_size))
-
-        # The manual (tape-free) step covers the default configuration;
-        # dropout, the traditional scheme and legacy kernels fall back
-        # to the taped autodiff path.  Both are bitwise identical.
-        loss_kind = resolve_loss_kind(self.config, self.is_regression)
-
-        checkpointing = checkpoint_path is not None
-        if checkpointing:
-            # Imported here: persistence builds on repro.core modules.
-            from .persistence import load_checkpoint, save_checkpoint
-
-            # A checkpoint is only resumable into the identical run;
-            # the fingerprint pins everything that shapes the
-            # trajectory so a mismatched resume fails loudly instead
-            # of silently diverging.
-            fingerprint = _jsonable({
-                "kind": "costmodel_fit",
-                "metric": self.metric,
-                "seed": self.seed,
-                "n_train": len(graphs),
-                "n_val": len(val_graphs),
-                "budget": budget,
-                "loss_kind": loss_kind,
-                "schedule_seed": getattr(schedule, "seed", None),
-                "config": dataclasses.asdict(self.config),
-            })
-
-            def save_fit_state(next_epoch: int, completed: bool):
-                arrays = {}
-                for key, value in self.network.state_dict().items():
-                    arrays[f"net/{key}"] = value
-                for key, value in best_state.items():
-                    arrays[f"best/{key}"] = value
-                for i, (m, v) in enumerate(zip(optimizer._m,
-                                               optimizer._v)):
-                    arrays[f"adam_m/{i}"] = m
-                    arrays[f"adam_v/{i}"] = v
-                arrays["best_val"] = np.asarray(best_val,
-                                                dtype=np.float64)
-                arrays["hist/train"] = np.asarray(
-                    self.history.train_loss, dtype=np.float64)
-                arrays["hist/val"] = np.asarray(
-                    self.history.val_loss, dtype=np.float64)
-                save_checkpoint(checkpoint_path, {
-                    "kind": "costmodel_fit", "version": 1,
-                    "fingerprint": fingerprint,
-                    "epoch": next_epoch,
-                    "completed": completed,
-                    "epochs_since_best": epochs_since_best,
-                    "best_epoch": self.history.best_epoch,
-                    "adam_step": optimizer._step,
-                    "rng_state": (rng.bit_generator.state
-                                  if rng is not None else None),
-                }, arrays)
-
-        start_epoch = 0
-        if checkpointing and resume and Path(checkpoint_path).exists():
-            header, arrays = load_checkpoint(checkpoint_path)
-            if header.get("fingerprint") != fingerprint:
-                raise ValueError(
-                    "checkpoint does not match this training run "
-                    "(different data, seed, or configuration)")
-            self.network.load_state_dict(
-                {key: arrays[f"net/{key}"]
-                 for key in self.network.state_dict()})
-            best_state = {key.split("/", 1)[1]: arrays[key].copy()
-                          for key in arrays
-                          if key.startswith("best/")}
-            best_val = float(arrays["best_val"])
-            optimizer._step = int(header["adam_step"])
-            for i in range(len(parameters)):
-                optimizer._m[i][:] = arrays[f"adam_m/{i}"]
-                optimizer._v[i][:] = arrays[f"adam_v/{i}"]
-            self.history.train_loss[:] = [
-                float(x) for x in arrays["hist/train"]]
-            self.history.val_loss[:] = [
-                float(x) for x in arrays["hist/val"]]
-            self.history.best_epoch = int(header["best_epoch"])
-            epochs_since_best = int(header["epochs_since_best"])
-            if rng is not None and header["rng_state"] is not None:
-                # The restored stream continues exactly where the
-                # killed run's draws left off — the per-epoch shuffles
-                # from here on match the uninterrupted run's.
-                rng.bit_generator.state = header["rng_state"]
-            start_epoch = int(header["epoch"])
-            if header["completed"]:
-                self.network.load_state_dict(best_state)
-                self.network.eval()
-                return self.history
-
-        self.network.train()
-        for epoch in range(start_epoch, budget):
-            optimizer.lr = self.config.learning_rate * (
-                self.config.lr_decay ** (epoch // self.config.lr_decay_every))
-            order = (sample_pool[rng.permutation(len(sample_pool))]
-                     if schedule is None
-                     else schedule.epoch_order(epoch, sample_pool))
-            epoch_loss = 0.0
-            n_batches = 0
-            manual_step = self.network.supports_manual_step()
-            for start in range(0, len(order), self.config.batch_size):
-                rows = order[start:start + self.config.batch_size]
-                batch = (collate([graphs[i] for i in rows])
-                         if schedule is None
-                         else schedule.train_batch(graphs, rows))
-                if manual_step:
-                    optimizer.zero_grad()
-                    loss_value = self.network.loss_and_grad(
-                        batch, labels[rows], loss_kind)
-                else:
-                    output = self.network(batch)
-                    loss = self._loss(output, labels[rows])
-                    optimizer.zero_grad()
-                    loss.backward()
-                    loss_value = loss.item()
-                clip_grad_norm(parameters, self.config.grad_clip)
-                optimizer.step()
-                epoch_loss += loss_value
-                n_batches += 1
-            self.history.train_loss.append(epoch_loss / max(n_batches, 1))
-
-            val_loss = self._loss_over_batches(val_pairs)
-            self.history.val_loss.append(val_loss)
-            stop = False
-            if val_loss < best_val - 1e-6:
-                best_val = val_loss
-                best_state = self.network.state_dict()
-                self.history.best_epoch = epoch
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                stop = epochs_since_best >= self.config.patience
-            if checkpointing and (stop or epoch + 1 == budget
-                                  or (epoch + 1) % checkpoint_every
-                                  == 0):
-                save_fit_state(epoch + 1,
-                               completed=stop or epoch + 1 == budget)
-            if on_epoch_end is not None:
-                on_epoch_end(epoch)
-            if stop:
-                break
-        self.network.load_state_dict(best_state)
-        self.network.eval()
+        StackedTrainer([self]).fit(
+            graphs, labels, val_graphs, val_labels, epochs=epochs,
+            schedule=schedule, checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every, resume=resume,
+            on_epoch_end=on_epoch_end)
         return self.history
 
     def fine_tune(self, graphs: list[QueryGraph], labels: np.ndarray,
@@ -383,29 +200,21 @@ class CostModel:
 
     def _loss_over_batches(self, pairs: list[tuple[GraphBatch, np.ndarray]]
                            ) -> float:
-        """Mean loss over pre-collated batches, without autodiff tape.
-
-        Restores the train/eval mode it found, so an evaluation never
-        leaves dropout disabled (or enabled) for the caller.
-        """
-        was_training = self.network.training
-        self.network.eval()
+        """Mean loss over pre-collated batches (taped forward, no
+        gradient recording)."""
         total = 0.0
         count = 0
         with no_grad():
             for batch, chunk_labels in pairs:
-                output = self.network(batch)
-                loss = self._loss(output, chunk_labels)
+                loss = self._loss(self.network(batch), chunk_labels)
                 total += loss.item() * batch.n_graphs
                 count += batch.n_graphs
-        if was_training:
-            self.network.train()
         return total / max(count, 1)
 
     def evaluate_loss(self, graphs: list[QueryGraph] | GraphBatch,
                       labels: np.ndarray) -> float:
         """Mean loss on (graphs, labels); also accepts pre-collated
-        batches.  The network's train/eval mode is restored on exit."""
+        batches."""
         labels = np.asarray(labels, dtype=np.float64)
         return self._loss_over_batches(self._paired_batches(graphs, labels))
 
@@ -415,18 +224,15 @@ class CostModel:
         ``graphs`` may be a list of :class:`QueryGraph` (collated here),
         one :class:`GraphBatch`, or a list of pre-collated batches —
         sharing one collation across ensemble members and metrics.
-        Runs in no-grad mode and restores the train/eval mode it found.
+        Runs the taped forward without recording gradients; no graphs
+        give an empty array.
         """
         batches = as_batches(graphs, self.config.batch_size)
-        was_training = self.network.training
-        self.network.eval()
-        outputs: list[np.ndarray] = []
+        if not batches:
+            return np.empty(0)
         with no_grad():
-            for batch in batches:
-                outputs.append(np.atleast_1d(self.network(batch).numpy()))
-        if was_training:
-            self.network.train()
-        return np.concatenate(outputs)
+            return np.concatenate([np.atleast_1d(self.network(b).numpy())
+                                   for b in batches])
 
     def predict(self, graphs) -> np.ndarray:
         """Predictions in label space: costs, or class probabilities."""

@@ -33,6 +33,7 @@ from ..nn.autodiff import legacy_kernels
 from ..core.costream import Costream
 from ..core.dataset import GraphDataset
 from ..core.ensemble import MetricEnsemble
+from ..core.model import MemberStack
 from ..core.graph import (QueryGraph, batches_equal, build_graph,
                           collate, collate_candidates,
                           collate_candidates_reference, collate_reference,
@@ -97,7 +98,6 @@ def _slow_member_predict(member: CostModel,
                          graphs: list[QueryGraph]) -> np.ndarray:
     """Original ``CostModel.predict``: per-call chunked loop collation,
     autodiff tape recorded and discarded."""
-    member.network.eval()
     outputs = []
     batch_size = member.config.batch_size
     for start in range(0, len(graphs), batch_size):
@@ -230,7 +230,6 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
     best_val = float("inf")
     best_state = model.network.state_dict()
 
-    model.network.train()
     for epoch in range(config.epochs):
         optimizer.lr = config.learning_rate * (
             config.lr_decay ** (epoch // config.lr_decay_every))
@@ -252,7 +251,6 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
 
         # Original evaluate_loss: re-collate the same validation
         # batches, forward with the tape recording.
-        model.network.eval()
         total, count = 0.0, 0
         for start in range(0, len(val_graphs), config.batch_size):
             chunk = val_graphs[start:start + config.batch_size]
@@ -262,13 +260,11 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
                                val_labels[start:start + config.batch_size])
             total += loss.item() * len(chunk)
             count += len(chunk)
-        model.network.train()
         val_loss = total / max(count, 1)
         if val_loss < best_val - 1e-6:
             best_val = val_loss
             best_state = model.network.state_dict()
     model.network.load_state_dict(best_state)
-    model.network.eval()
     return history
 
 
@@ -303,9 +299,6 @@ def _bench_decisions(scale: ExperimentScale, repeats: int,
     model = Costream(metrics=_DECISION_METRICS,
                      ensemble_size=scale.ensemble_size, config=config,
                      seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
     optimizer = PlacementOptimizer(model, objective="processing_latency")
 
     rng = np.random.default_rng(17)
@@ -356,13 +349,9 @@ def _bench_decisions(scale: ExperimentScale, repeats: int,
 
 def _throughput_model(scale: ExperimentScale) -> Costream:
     config = TrainingConfig(hidden_dim=scale.hidden_dim)
-    model = Costream(metrics=_DECISION_METRICS,
-                     ensemble_size=scale.ensemble_size, config=config,
-                     seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
-    return model
+    return Costream(metrics=_DECISION_METRICS,
+                    ensemble_size=scale.ensemble_size, config=config,
+                    seed=0)
 
 
 def _throughput_requests(scale: ExperimentScale,
@@ -644,8 +633,9 @@ def _bench_ensemble(dataset: GraphDataset, scale: ExperimentScale,
 
     Both sides share one pre-collated batch (the PR-1 fast path), so
     the measured ratio isolates exactly the weight-stacking change: K
-    sequential member forwards vs one batched-GEMM forward.  The
-    float64 stack must match the per-member reference bitwise; the
+    sequential member forwards — K one-member stacks, built off the
+    clock, running the same kernels — vs one batched-GEMM forward.
+    The float64 stack must match the per-member side bitwise; the
     float32 stack must stay within :data:`FLOAT32_TOLERANCE`
     (relative).
     """
@@ -653,20 +643,24 @@ def _bench_ensemble(dataset: GraphDataset, scale: ExperimentScale,
     size = max(scale.ensemble_size, 3)
     ensemble = MetricEnsemble("processing_latency", size=size,
                               config=config, seed=0)
-    for member in ensemble.members:
-        member.network.eval()
     batch = collate(dataset.graphs[:config.batch_size])
+    member_stacks = [MemberStack([member.network])
+                     for member in ensemble.members]
+    to_label_space = ensemble.members[0].to_label_space
+
+    def per_member():
+        return to_label_space(np.concatenate(
+            [stack.forward_arrays(batch) for stack in member_stacks]))
 
     # Warm every cache (stack build, stage plans, scatter indices)
     # outside the clock — one decision reuses them across 3 metrics.
     ensemble._member_predictions(batch)
-    ensemble._member_predictions_reference(batch)
+    per_member()
     batched_s, per_member_s = _interleaved(
-        lambda: ensemble._member_predictions(batch),
-        lambda: ensemble._member_predictions_reference(batch), repeats)
+        lambda: ensemble._member_predictions(batch), per_member, repeats)
 
     float64 = ensemble._member_predictions(batch)
-    reference = ensemble._member_predictions_reference(batch)
+    reference = per_member()
     float64_delta = float(np.max(np.abs(float64 - reference)))
     with float32_inference():
         ensemble._member_predictions(batch)  # cast caches, off-clock
@@ -692,6 +686,15 @@ def _bench_ensemble(dataset: GraphDataset, scale: ExperimentScale,
 
 def _bench_epoch(dataset: GraphDataset, scale: ExperimentScale,
                  n_epochs: int, repeats: int = 3) -> dict:
+    """Seconds per training epoch of one cost model.
+
+    The fast side is ``CostModel.fit`` — the one training loop with a
+    single member, i.e. a one-member stack.  The slow side is the seed
+    replica :func:`_slow_fit` (taped steps on the seed kernels, loop
+    collation, re-collated validation).  Both draw the same
+    member-seeded split and shuffles, so their train-loss trajectories
+    must agree.
+    """
     graphs, labels = dataset.metric_view("processing_latency")
     config = TrainingConfig(hidden_dim=scale.hidden_dim, epochs=n_epochs,
                             patience=n_epochs + 1)
@@ -725,21 +728,21 @@ def _bench_epoch(dataset: GraphDataset, scale: ExperimentScale,
 
 def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
                           n_epochs: int, repeats: int = 3) -> dict:
-    """Stacked K-member training vs the sequential member loop.
+    """One K-member lock-step run vs K separate one-member runs.
 
     Both sides train the same K freshly initialized members on the
     same schedule *draws*: every member fits under a
     :class:`~repro.training.BatchSchedule` seeded identically, so the
     splits, shuffles and mini-batches are the same everywhere and the
-    runs are bitwise comparable.  The sequential side
-    (:func:`repro.training.fit_members_sequential`, the retained
-    ``CostModel.fit`` loop) gives each member its OWN schedule
-    instance — K independent collation passes, exactly the cost the
-    pre-stacking ``MetricEnsemble.fit`` member loop paid — while the
-    stacked side shares one schedule across the ensemble, so the ratio
-    measures the full stacked-engine change: shared collation plus one
-    batched-GEMM forward/backward and one stacked Adam step per
-    mini-batch instead of K.  Equivalence is asserted bitwise:
+    runs are bitwise comparable.  The sequential side is K separate
+    runs of the one training loop with a single member each
+    (``CostModel.fit``), each under its OWN schedule instance — K
+    independent collation passes, exactly the cost the default
+    per-member ``MetricEnsemble.fit`` pays — while the stacked side
+    shares one schedule across the ensemble, so the ratio measures
+    the full lock-step change: shared collation plus one batched-GEMM
+    forward/backward and one stacked Adam step per mini-batch instead
+    of K.  Equivalence is asserted bitwise:
     per-member train/val loss trajectories must be identical (delta
     0.0) and the final parameters must match array-for-array.
     """

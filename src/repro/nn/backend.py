@@ -53,11 +53,11 @@ class ComputeBackend:
     def mlp_forward(self, weights: Sequence[np.ndarray],
                     biases: Sequence[np.ndarray],
                     x: np.ndarray) -> np.ndarray:
-        """Fused eval-mode MLP forward over per-layer weight arrays.
+        """Fused MLP forward over per-layer weight arrays.
 
-        Works for the 2-D per-member case (``MLP.forward_array``) and
-        the member-stacked 3-D case (``StackedMLP.forward_array``) —
-        ``x * (x > 0)`` is the exact relu expression both used.
+        The member-stacked inference forward
+        (``StackedMLP.forward_array``) — ``x * (x > 0)`` is the exact
+        relu expression the taped ``MLP.forward`` uses.
         """
         last = len(weights) - 1
         for i, (weight, bias) in enumerate(zip(weights, biases)):

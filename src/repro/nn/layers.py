@@ -10,7 +10,7 @@ from .autodiff import Tensor, _legacy_kernels_enabled, _unbroadcast
 from .backend import active_backend
 from . import init
 
-__all__ = ["Module", "Linear", "MLP", "Dropout", "StackedMLP"]
+__all__ = ["Module", "Linear", "MLP", "StackedMLP"]
 
 
 def _accumulate_array(param: Tensor, grad: np.ndarray) -> None:
@@ -115,27 +115,6 @@ class Linear(Module):
         return Tensor._make(out_data, (x, weight, bias), backward)
 
 
-class Dropout(Module):
-    """Inverted dropout; identity when ``training`` is False."""
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-        self.training = True
-
-    def parameters(self) -> list[Tensor]:
-        return []
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
-
-
 class MLP(Module):
     """Multi-layer perceptron with ReLU hidden activations.
 
@@ -145,33 +124,17 @@ class MLP(Module):
     """
 
     def __init__(self, in_features: int, hidden: Sequence[int],
-                 out_features: int, rng: np.random.Generator,
-                 dropout: float = 0.0):
+                 out_features: int, rng: np.random.Generator):
         dims = [in_features] + list(hidden) + [out_features]
         self.layers: list[Linear] = []
         for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
             is_last = i == len(dims) - 2
             activation = "linear" if is_last else "relu"
             self.layers.append(Linear(fan_in, fan_out, rng, activation))
-        self.dropout = Dropout(dropout, rng) if dropout > 0.0 else None
-        self.training = True
-
-    def train(self) -> None:
-        self.training = True
-        if self.dropout is not None:
-            self.dropout.training = True
-
-    def eval(self) -> None:
-        self.training = False
-        if self.dropout is not None:
-            self.dropout.training = False
 
     def forward(self, x: Tensor) -> Tensor:
-        if (_legacy_kernels_enabled()
-                or (self.dropout is not None and self.training
-                    and self.dropout.rate > 0.0)):
-            # Per-op path: keeps the dropout RNG draw sequence (and the
-            # seed behavior under legacy kernels).
+        if _legacy_kernels_enabled():
+            # Per-op path: the seed behavior under legacy kernels.
             return self._forward_layerwise(x)
         return self._forward_fused(x)
 
@@ -180,8 +143,6 @@ class MLP(Module):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = x.relu()
-                if self.dropout is not None:
-                    x = self.dropout(x)
         return x
 
     def _forward_fused(self, x: Tensor) -> Tensor:
@@ -217,51 +178,12 @@ class MLP(Module):
             parents.append(layer.bias)
         return Tensor._make(out_data, parents, backward)
 
-    def forward_array(self, x):
-        """Eval-mode forward on a raw ndarray, skipping all autodiff
-        objects.  Matches :meth:`forward` in eval mode bit for bit
-        (``x * (x > 0)`` is the exact relu expression the Tensor op
-        uses); dropout is identity in eval mode so it is skipped."""
-        return active_backend().mlp_forward(
-            [layer.weight.data for layer in self.layers],
-            [layer.bias.data for layer in self.layers], x)
-
-    def forward_array_cached(self, x):
-        """Like :meth:`forward_array`, returning the cache the manual
-        backward needs (layer inputs and relu masks)."""
-        out, cache = active_backend().mlp_forward_cached(
-            [layer.weight.data for layer in self.layers],
-            [layer.bias.data for layer in self.layers], x)
-        return out, cache
-
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         """Per-layer (in, out) shapes; the architecture fingerprint
         :meth:`StackedMLP.from_mlps` validates against."""
         return tuple((layer.in_features, layer.out_features)
                      for layer in self.layers)
-
-    def backward_array(self, grad, cache, input_grad: bool = True):
-        """Manual backward matching :meth:`_forward_fused` bit for bit.
-
-        Accumulates parameter gradients into ``.grad`` (first-touch
-        copy, then ``+=``, like the tape) and returns the input
-        gradient, or ``None`` with ``input_grad=False`` (encoder inputs
-        are leaves, so their gradient GEMM can be skipped)."""
-        kernel = active_backend()
-        activations, masks = cache
-        g = grad
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            _accumulate_array(layer.weight,
-                              kernel.matmul(activations[i].T, g))
-            _accumulate_array(layer.bias, _unbroadcast(g, layer.bias.shape))
-            if i == 0 and not input_grad:
-                return None
-            g = kernel.matmul(g, layer.weight.data.T)
-            if i > 0:
-                g = g * masks[i - 1]
-        return g
 
 
 class StackedMLP:
@@ -271,9 +193,10 @@ class StackedMLP:
     per layer, one ``np.matmul`` over ``(K, n, d)`` activations runs
     every member's affine map in a single batched-GEMM call.  numpy
     dispatches each ``(n, d) @ (d, h)`` slice of the stacked operands
-    to the same 2-D GEMM kernel the per-member
-    :meth:`MLP.forward_array` uses, so float64 stacks produce outputs
-    **bitwise identical** to looping over the members.
+    to the same 2-D GEMM kernel the taped :meth:`MLP.forward` runs
+    per member, so float64 stacks produce outputs **bitwise
+    identical** to looping over the members.  A one-member stack is
+    how a single network runs outside the tape.
 
     Weights are *copied* into the stacks at construction time (cast
     once when ``dtype`` is float32) and never written back — a stack is
@@ -323,8 +246,8 @@ class StackedMLP:
         ``x`` is either ``(n, fan_in)`` (shared input, broadcast over
         the members — the encoder case) or ``(K, n, fan_in)``
         (per-member activations); the result is ``(K, n, fan_out)``.
-        The relu ``x * (x > 0)`` is the exact expression the per-member
-        path uses.  Callers pass ``x`` already in :attr:`dtype` —
+        The relu ``x * (x > 0)`` is the exact expression the taped
+        per-member forward uses.  Callers pass ``x`` already in :attr:`dtype` —
         mixing dtypes would silently upcast the GEMM to float64.
         """
         return active_backend().mlp_forward(self.weights, self.biases, x)
@@ -364,20 +287,19 @@ class StackedMLP:
 
     def forward_array_cached(self, x):
         """Like :meth:`forward_array`, returning the cache the stacked
-        backward needs — the member-stacked mirror of
-        :meth:`MLP.forward_array_cached` (same kernels per ``(n, d)``
-        slice, so activations and masks are bitwise identical per
-        member)."""
+        backward needs (layer inputs and relu masks).  Each ``(n, d)``
+        slice runs the kernels of the taped :meth:`MLP.forward`, so
+        activations and masks are bitwise identical per member."""
         return active_backend().mlp_forward_cached(self.weights,
                                                    self.biases, x)
 
     def backward_array(self, grad, cache, input_grad: bool = True):
-        """Stacked manual backward matching :meth:`MLP.backward_array`
-        bit for bit per member.
+        """Stacked manual backward matching the taped MLP backward bit
+        for bit per member.
 
         ``grad`` is ``(K, n, fan_out)``; every GEMM is one batched
         ``np.matmul`` whose per-member slices run the exact 2-D kernels
-        of the per-member backward (transposes are views, exactly as
+        of the taped backward (transposes are views, exactly as
         ``weight.data.T`` is), and the bias gradient
         ``grad.sum(axis=1, keepdims=True)`` reduces each member's
         contiguous block exactly like the per-member

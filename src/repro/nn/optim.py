@@ -68,8 +68,13 @@ def stacked_clip_grad_norm(params: Sequence[Tensor], max_norm: float,
     gradient slices scaled.  Each member's squared sum reduces its own
     contiguous block (the tail axes of a C-contiguous stack), so norms
     and scaled gradients are bitwise identical to clipping the members
-    one at a time.  Returns the ``(size,)`` pre-clip norms.
+    one at a time.  With ``size == 1`` the params may also be plain
+    member-shaped Tensors (the taped training step); that case is
+    :func:`clip_grad_norm` itself, which skips the per-member array
+    bookkeeping.  Returns the ``(size,)`` pre-clip norms.
     """
+    if size == 1:
+        return np.array([clip_grad_norm(params, max_norm)])
     kernel = active_backend()
     totals = np.zeros(size)
     for param in params:
@@ -78,11 +83,15 @@ def stacked_clip_grad_norm(params: Sequence[Tensor], max_norm: float,
     norms = np.sqrt(totals)
     clip = (norms > max_norm) & (norms > 0.0)
     if clip.any():
-        scales = max_norm / norms[clip]
+        # One full per-member scale vector: unclipped members scale by
+        # 1.0 (``x * 1.0 == x``), so no gradient is copied through a
+        # boolean mask.
+        scales = np.divide(max_norm, norms, out=np.ones(size),
+                           where=clip)
         for param in params:
             if param.grad is not None:
-                shape = (-1,) + (1,) * (param.grad.ndim - 1)
-                param.grad[clip] *= scales.reshape(shape)
+                param.grad *= scales.reshape(
+                    (-1,) + (1,) * (param.grad.ndim - 1))
     return norms
 
 

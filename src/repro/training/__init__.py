@@ -1,20 +1,22 @@
-"""The stacked-ensemble training engine (see PERFORMANCE.md).
+"""The training engine (see PERFORMANCE.md).
 
-Trains all K members of a metric ensemble in ONE batched-GEMM
-forward/backward per mini-batch:
+One loop trains every cost model, K >= 1 members at a time, in ONE
+batched-GEMM forward/backward per mini-batch:
 
 * :class:`TrainingCorpus` — featurizes a trace corpus once and serves
   cached metric views to every ensemble (``Costream.fit`` and
   ``fine_tune`` both route through it);
 * :class:`BatchSchedule` — one deterministic split/shuffle/collation
-  source shared by all members, making stacked and sequential training
-  bitwise comparable;
-* :class:`StackedTrainer` — the K-member lock-step trainer over
-  :class:`~repro.core.model.TrainableMemberStack` weight stacks,
-  bitwise identical per member to :func:`fit_members_sequential` (the
-  retained ``CostModel.fit`` reference loop) under a shared schedule.
+  source shared by all members, making lock-step and one-member
+  training bitwise comparable;
+* :class:`StackedTrainer` — the loop: K members in lock-step over
+  :class:`~repro.core.model.TrainableMemberStack` weight stacks
+  (``CostModel.fit`` is the one-member case), bitwise identical per
+  member to :func:`fit_members_sequential` (K independent one-member
+  runs) under a shared schedule.
 
-Opt in with ``TrainingConfig(member_training="stacked")``.
+Ensembles train all members in one run with
+``TrainingConfig(member_training="stacked")``.
 """
 
 from .corpus import BatchSchedule, TrainingCorpus

@@ -17,8 +17,8 @@ from the same graphs.  Two small objects remove that:
   training and few-shot adaptation alike).
 
 A schedule makes K-member training *comparable*: under a shared
-schedule, the stacked trainer and the retained sequential
-``CostModel.fit`` loop consume identical splits, identical epoch
+schedule, one K-member lock-step run and K one-member
+``CostModel.fit`` runs consume identical splits, identical epoch
 orders and identical collated batches, so their loss trajectories and
 final parameters can be (and are) asserted bitwise equal.
 """
@@ -38,9 +38,9 @@ __all__ = ["BatchSchedule", "TrainingCorpus"]
 class BatchSchedule:
     """A deterministic, shareable mini-batch schedule.
 
-    Replays exactly the RNG draws ``CostModel.fit`` makes — one
-    permutation for the train/val split, then one permutation per
-    epoch over the (possibly oversampled) sample pool — from a single
+    The training loop's RNG draws — one permutation for the train/val
+    split, then one permutation per epoch over the (possibly
+    oversampled) sample pool — from a single
     ``np.random.default_rng(seed)`` stream, generated lazily and
     cached so every consumer sees the same sequence regardless of who
     asks first.  The collated validation pairs are cached alongside.
@@ -73,10 +73,10 @@ class BatchSchedule:
 
     def epoch_order(self, epoch: int, sample_pool: np.ndarray
                     ) -> np.ndarray:
-        """Row order of one epoch: ``sample_pool`` permuted exactly as
-        ``CostModel.fit`` would (epoch permutations are drawn in epoch
-        order and cached, so members replaying from epoch 0 see the
-        same sequence)."""
+        """Row order of one epoch: ``sample_pool`` permuted by that
+        epoch's draw (epoch permutations are drawn in epoch order and
+        cached, so members replaying from epoch 0 see the same
+        sequence)."""
         while len(self._epoch_perms) <= epoch:
             self._epoch_perms.append(
                 self._rng.permutation(len(sample_pool)))

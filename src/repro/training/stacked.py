@@ -1,53 +1,86 @@
-"""K-member stacked ensemble training (one batched step per mini-batch).
+"""The one training loop: K cost models in lock-step, K >= 1.
 
-``MetricEnsemble.fit`` used to train its K members one at a time:
-K full ``CostModel.fit`` runs, each paying the per-stage Python
-dispatch and small-GEMM cost of the manual training step, each
-re-collating the same mini-batches.  :class:`StackedTrainer` trains
-all members at once: member weights fold into
+Every cost model trains here.  ``CostModel.fit`` is this loop with a
+single member, and ``MetricEnsemble.fit`` runs it once per member (the
+default) or once for all K members (``member_training="stacked"``).
+For the staged scheme the member weights fold into
 :class:`~repro.core.model.TrainableMemberStack` 3-D stacks, every
 mini-batch runs ONE stacked forward/backward
 (:meth:`~repro.core.model.TrainableMemberStack.loss_and_grad`),
 gradients clip per member (:func:`repro.nn.stacked_clip_grad_norm`)
-and one :class:`repro.nn.StackedAdam` steps every member's slice.
+and one :class:`repro.nn.StackedAdam` steps every member's slice.  The
+``traditional`` scheme (the Exp 7b ablation) trains one member at a
+time on the autodiff tape.
 
 **Equivalence contract.**  Under a shared
-:class:`~repro.training.BatchSchedule` the stacked run is bitwise
-identical to the retained sequential reference —
-:func:`fit_members_sequential`, which is nothing but the
-``CostModel.fit`` loop driven by the same schedule: per-member loss
-trajectories (train and validation), early-stopping epochs, and final
-parameters all match field for field, the way
-``collate_candidates_reference`` anchors the index-native collation.
-Per-member state is preserved end to end: each member keeps its own
-seed-derived initialization, its own best-state snapshot and patience
-counter; a member whose patience runs out stops recording history at
-exactly the epoch the sequential loop would have stopped training it
-(its slice keeps stepping — harmless, since its final weights come
-from its best-state snapshot).
+:class:`~repro.training.BatchSchedule` a K-member run is bitwise
+identical to K independent one-member runs —
+:func:`fit_members_sequential`, which is nothing but ``CostModel.fit``
+per member under the same schedule: per-member loss trajectories
+(train and validation), early-stopping epochs, and final parameters
+all match field for field.  Per-member state is preserved end to end:
+each member keeps its own seed-derived initialization, its own
+best-state snapshot and patience counter; a member whose patience runs
+out stops recording history at exactly the epoch its own run would
+have stopped (its slice keeps stepping — harmless, since its final
+weights come from its best-state snapshot).
 
 What a shared schedule changes: the members draw one split and one
 per-epoch shuffle sequence from the *ensemble* seed instead of K
 member-seed streams.  That is a different (equally valid) training
-run than the historical per-member default, so stacked training is
-opt-in: ``TrainingConfig(member_training="stacked")``.
+run than the historical per-member default, so lock-step ensemble
+training is opt-in: ``TrainingConfig(member_training="stacked")``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 
 from ..core.model import TrainableMemberStack
-from ..core.training import (CostModel, TrainingHistory, _jsonable,
+from ..core.training import (CostModel, TrainingHistory,
                              _oversampled_pool, holdout_size,
                              resolve_loss_kind)
-from ..nn.optim import StackedAdam, stacked_clip_grad_norm
+from ..nn.optim import Adam, StackedAdam, stacked_clip_grad_norm
 from .corpus import BatchSchedule
 
 __all__ = ["StackedTrainer", "fit_members_sequential"]
+
+
+def _jsonable(value):
+    """Normalize through JSON so in-memory fingerprints compare equal
+    to checkpoint headers read back from disk (tuples become lists,
+    dict keys become strings)."""
+    return json.loads(json.dumps(value))
+
+
+def _checked_labels(labels, n_graphs: int, loss_kind: str,
+                    which: str) -> np.ndarray:
+    """``labels`` as float64, or a ``ValueError`` naming the problem."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != (n_graphs,):
+        raise ValueError(f"{labels.size} {which} labels for {n_graphs} "
+                         f"{which} graphs")
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        raise ValueError(f"{which} label {bad[0]} is not finite "
+                         f"({labels[bad[0]]})")
+    if loss_kind == "msle":
+        bad = np.flatnonzero(labels < 0.0)
+        if bad.size:
+            raise ValueError(f"{which} label {bad[0]} is negative "
+                             f"({labels[bad[0]]}); msle needs labels "
+                             f">= 0")
+    elif loss_kind == "bce":
+        bad = np.flatnonzero((labels < 0.0) | (labels > 1.0))
+        if bad.size:
+            raise ValueError(f"{which} label {bad[0]} is outside [0, 1] "
+                             f"({labels[bad[0]]}); bce needs labels in "
+                             f"[0, 1]")
+    return labels
 
 
 def fit_members_sequential(members: list[CostModel],
@@ -56,13 +89,11 @@ def fit_members_sequential(members: list[CostModel],
                            epochs: int | None = None,
                            schedule: BatchSchedule | None = None
                            ) -> list[TrainingHistory]:
-    """The sequential reference: ``CostModel.fit`` per member, one
-    shared schedule.
+    """K independent one-member runs under one shared schedule.
 
-    This is the executable specification the stacked trainer is tested
-    against — the per-member training loop is kept fully reachable
-    (it IS ``CostModel.fit``), only the RNG-derived schedule is shared
-    so the two paths are comparable.
+    The reference a K-member lock-step run is tested against: each
+    member trains through ``CostModel.fit`` on its own, only the
+    RNG-derived schedule is shared so the runs are comparable.
     """
     schedule = schedule or BatchSchedule(members[0].seed)
     return [member.fit(graphs, labels, val_graphs, val_labels,
@@ -80,10 +111,9 @@ class StackedTrainer:
         self.config = members[0].config
 
     def supported(self) -> bool:
-        """Whether the stacked step covers this configuration (the
-        same envelope as the manual per-member step)."""
-        return all(member.network.supports_manual_step()
-                   for member in self.members)
+        """Whether one lock-step run covers these members: the stacked
+        step needs the staged scheme, the tape trains one member."""
+        return len(self.members) == 1 or self.config.scheme == "staged"
 
     # ------------------------------------------------------------------
     def fit(self, graphs, labels: np.ndarray,
@@ -93,30 +123,40 @@ class StackedTrainer:
             checkpoint_path=None, checkpoint_every: int = 1,
             resume: bool = False, on_epoch_end=None
             ) -> list[TrainingHistory]:
-        """Train all members; mirrors ``CostModel.fit`` line for line.
+        """Train all members; histories append to each member's
+        ``CostModel.history``.
 
-        Every RNG draw, split, oversampled pool, collation, loss,
-        gradient, clip and optimizer update replays the sequential
-        reference's exact kernels per member — only batched across the
-        member axis.  Histories append to each member's
-        ``CostModel.history`` exactly as ``fit`` would.
+        Without a ``schedule`` the split and shuffles come from
+        ``BatchSchedule(members[0].seed)``.  Malformed inputs — an
+        empty training set, label and graph counts that disagree,
+        ``val_graphs`` without ``val_labels`` (or the reverse), a
+        non-finite label, a negative ``msle`` label or a ``bce`` label
+        outside [0, 1] — raise ``ValueError`` before any draw or
+        collation.
 
         ``checkpoint_path`` / ``checkpoint_every`` / ``resume`` /
-        ``on_epoch_end`` match ``CostModel.fit``: epoch-granular,
-        atomically written crash recovery whose resumed run is bitwise
-        identical to the uninterrupted one (PERFORMANCE.md §13).  The
-        schedule needs no serialized state — a fresh
-        :class:`~repro.training.BatchSchedule` with the same seed
-        replays the split and every epoch's shuffle deterministically.
+        ``on_epoch_end``: epoch-granular, atomically written crash
+        recovery whose resumed run is bitwise identical to the
+        uninterrupted one (PERFORMANCE.md §13).  The schedule needs no
+        serialized state — a fresh :class:`~repro.training.
+        BatchSchedule` with the same seed replays the split and every
+        epoch's shuffle deterministically.
         """
         members = self.members
         config = self.config
         size = len(members)
         if not self.supported():
             raise ValueError(
-                "stacked training requires the staged scheme without "
-                "dropout or legacy kernels")
-        labels = np.asarray(labels, dtype=np.float64)
+                "stacked training of several members requires the "
+                "staged scheme; the tape trains one member at a time")
+        if not len(graphs):
+            raise ValueError("cannot train on an empty training set")
+        if (val_graphs is None) != (val_labels is None):
+            raise ValueError(
+                "val_graphs and val_labels must be given together")
+        loss_kind = resolve_loss_kind(config, members[0].is_regression)
+        labels = _checked_labels(labels, len(graphs), loss_kind,
+                                 "training")
         schedule = schedule or BatchSchedule(members[0].seed)
         if val_graphs is None:
             n_val = holdout_size(len(graphs), config.val_fraction)
@@ -127,26 +167,46 @@ class StackedTrainer:
             graphs = [graphs[i] for i in train_rows]
             labels = labels[train_rows]
         else:
-            val_labels = np.asarray(val_labels, dtype=np.float64)
+            val_labels = _checked_labels(val_labels, len(val_graphs),
+                                         loss_kind, "validation")
 
-        stack = TrainableMemberStack([m.network for m in members])
-        params = stack.parameters()
-        optimizer = StackedAdam(params, size,
-                                lr=config.learning_rate,
-                                weight_decay=config.weight_decay)
+        # The staged scheme trains on a member stack; the traditional
+        # scheme's only training step is the tape, one member at a time.
+        staged = config.scheme == "staged"
+        if staged:
+            stack = TrainableMemberStack([m.network for m in members])
+            params = stack.parameters()
+            optimizer = StackedAdam(params, size,
+                                    lr=config.learning_rate,
+                                    weight_decay=config.weight_decay)
+            member_state = stack.member_state
+        else:
+            taped = members[0]
+            params = taped.network.parameters()
+            optimizer = Adam(params, lr=config.learning_rate,
+                             weight_decay=config.weight_decay)
+
+            def member_state(k: int) -> dict[str, np.ndarray]:
+                return taped.network.state_dict()
+
         best_val = np.full(size, np.inf)
-        best_state = [stack.member_state(k) for k in range(size)]
+        best_state = [member_state(k) for k in range(size)]
         epochs_since_best = [0] * size
         active = [True] * size
         budget = epochs if epochs is not None else config.epochs
 
+        # Binary labels are heavily imbalanced in the corpus (failures
+        # and backpressure are the minority); oversample the minority
+        # class so the classifier cannot win by always predicting the
+        # majority.
         sample_pool = np.arange(len(graphs))
         if not members[0].is_regression and config.balance_classes:
             sample_pool = _oversampled_pool(labels)
 
+        # Collated once per schedule: every epoch (and every member
+        # sharing the schedule) validates on the same batches.
         val_pairs = schedule.val_pairs(val_graphs, val_labels,
                                        config.batch_size)
-        loss_kind = resolve_loss_kind(config, members[0].is_regression)
         histories = [member.history for member in members]
 
         checkpointing = checkpoint_path is not None
@@ -155,11 +215,14 @@ class StackedTrainer:
             from ..core.persistence import (load_checkpoint,
                                             save_checkpoint)
 
+            # A checkpoint is only resumable into the identical run;
+            # the fingerprint pins everything that shapes the
+            # trajectory so a mismatched resume fails loudly instead
+            # of silently diverging.
             fingerprint = _jsonable({
-                "kind": "stacked_fit",
+                "kind": "fit",
                 "metrics": [member.metric for member in members],
                 "seeds": [member.seed for member in members],
-                "size": size,
                 "n_train": len(graphs),
                 "n_val": len(val_graphs),
                 "budget": budget,
@@ -171,7 +234,7 @@ class StackedTrainer:
             def save_fit_state(next_epoch: int, completed: bool):
                 arrays = {}
                 for i, param in enumerate(params):
-                    arrays[f"stack/{i}"] = param.data
+                    arrays[f"param/{i}"] = param.data
                 for k, state in enumerate(best_state):
                     for key, value in state.items():
                         arrays[f"best/{k}/{key}"] = value
@@ -186,7 +249,6 @@ class StackedTrainer:
                     arrays[f"hist/{k}/val"] = np.asarray(
                         history.val_loss, dtype=np.float64)
                 save_checkpoint(checkpoint_path, {
-                    "kind": "stacked_fit", "version": 1,
                     "fingerprint": fingerprint,
                     "epoch": next_epoch,
                     "completed": completed,
@@ -205,7 +267,7 @@ class StackedTrainer:
                     "checkpoint does not match this training run "
                     "(different members, data, or configuration)")
             for i, param in enumerate(params):
-                param.data[:] = arrays[f"stack/{i}"]
+                param.data[:] = arrays[f"param/{i}"]
             best_state = [
                 {key: arrays[f"best/{k}/{key}"].copy()
                  for key in best_state[k]}
@@ -228,7 +290,6 @@ class StackedTrainer:
             if header["completed"]:
                 for k, member in enumerate(members):
                     member.network.load_state_dict(best_state[k])
-                    member.network.eval()
                 return histories
 
         for epoch in range(start_epoch, budget):
@@ -243,14 +304,22 @@ class StackedTrainer:
                 rows = order[start:start + config.batch_size]
                 batch = schedule.train_batch(graphs, rows)
                 optimizer.zero_grad()
-                losses = stack.loss_and_grad(batch, labels[rows],
-                                             loss_kind)
+                if staged:
+                    losses = stack.loss_and_grad(batch, labels[rows],
+                                                 loss_kind)
+                else:
+                    loss = taped._loss(taped.network(batch),
+                                       labels[rows])
+                    loss.backward()
+                    losses = loss.item()
                 stacked_clip_grad_norm(params, config.grad_clip, size)
                 optimizer.step()
                 epoch_loss += losses
                 n_batches += 1
             mean_loss = epoch_loss / max(n_batches, 1)
-            val_losses = stack.loss_over_batches(val_pairs, loss_kind)
+            val_losses = (stack.loss_over_batches(val_pairs, loss_kind)
+                          if staged
+                          else [taped._loss_over_batches(val_pairs)])
             for k in range(size):
                 if not active[k]:
                     continue
@@ -258,7 +327,7 @@ class StackedTrainer:
                 histories[k].val_loss.append(float(val_losses[k]))
                 if val_losses[k] < best_val[k] - 1e-6:
                     best_val[k] = val_losses[k]
-                    best_state[k] = stack.member_state(k)
+                    best_state[k] = member_state(k)
                     histories[k].best_epoch = epoch
                     epochs_since_best[k] = 0
                 else:
@@ -276,5 +345,4 @@ class StackedTrainer:
 
         for k, member in enumerate(members):
             member.network.load_state_dict(best_state[k])
-            member.network.eval()
         return histories

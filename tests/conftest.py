@@ -95,6 +95,17 @@ def full_placement(small_cluster):
     return place
 
 
+@pytest.fixture
+def tape_predictions():
+    """Per-member label-space predictions, ``(size, n_graphs)``, from
+    each member's taped forward — the oracle the member stacks must
+    match bit for bit."""
+    def predict(ensemble, graphs):
+        return np.stack([member.predict(graphs)
+                         for member in ensemble.members])
+    return predict
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus():
     """A small simulated trace corpus shared across tests."""

@@ -162,7 +162,8 @@ class TestRoutedCallSites:
     """The NN layers actually dispatch through the active backend."""
 
     def test_mlp_forward_array_uses_backend(self, rng):
-        mlp = nn.MLP(6, [8], 2, np.random.default_rng(0))
+        mlp = nn.StackedMLP.from_mlps([nn.MLP(6, [8], 2,
+                                              np.random.default_rng(0))])
         x = rng.standard_normal((5, 6))
         baseline = mlp.forward_array(x)
 

@@ -56,12 +56,8 @@ _METRICS = ("processing_latency", "success", "backpressure")
 
 def _model(hidden_dim: int = 16, size: int = 2) -> Costream:
     config = TrainingConfig(hidden_dim=hidden_dim, scheme="staged")
-    model = Costream(metrics=_METRICS, ensemble_size=size, config=config,
-                     seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
-    return model
+    return Costream(metrics=_METRICS, ensemble_size=size, config=config,
+                    seed=0)
 
 
 def _cluster(seed: int = 0, size: int = 6) -> Cluster:

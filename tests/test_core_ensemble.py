@@ -52,6 +52,20 @@ class TestMetricEnsemble:
         seeds = {m.seed for m in ensemble.members}
         assert len(seeds) == 3
 
+    @pytest.mark.parametrize("metric", ["throughput", "backpressure"])
+    def test_predict_no_graphs(self, tiny_config, metric):
+        ensemble = MetricEnsemble(metric, size=3, config=tiny_config)
+        predictions = ensemble.predict([])
+        assert predictions.shape == (0,)
+        assert predictions.dtype == np.float64
+
+    def test_predict_proba_no_graphs(self, tiny_config):
+        ensemble = MetricEnsemble("backpressure", size=3,
+                                  config=tiny_config)
+        probabilities = ensemble.predict_proba([])
+        assert probabilities.shape == (0,)
+        assert probabilities.dtype == np.float64
+
 
 class TestCostreamFacade:
     @pytest.fixture(scope="class")
@@ -78,6 +92,12 @@ class TestCostreamFacade:
                   for t in tiny_corpus[:7]]
         out = trained.predict_metric("throughput", graphs)
         assert out.shape == (7,)
+
+    @pytest.mark.parametrize("metric", ["throughput", "success"])
+    def test_predict_metric_no_graphs(self, trained, metric):
+        out = trained.predict_metric(metric, [])
+        assert out.shape == (0,)
+        assert out.dtype == np.float64
 
     def test_fine_tune_runs(self, trained, tiny_corpus):
         trained.fine_tune(tiny_corpus[:30], epochs=2)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import Featurizer, build_graph, collate
-from repro.core.model import MESSAGE_SCHEMES, CostreamGNN
+from repro.core.model import (MESSAGE_SCHEMES, CostreamGNN,
+                              TrainableMemberStack)
 from repro.hardware import Placement
 from repro.nn import bce_with_logits_loss, msle_loss
 
@@ -99,8 +100,9 @@ class TestBackward:
 
 
 class TestManualStep:
-    """``loss_and_grad`` is the training step of every per-member fit;
-    it must replay the taped forward + ``loss.backward()`` bit for bit."""
+    """The stacked step trains every staged model — a single model as a
+    one-member stack.  Per member it must replay the taped forward +
+    ``loss.backward()`` bit for bit, at K=1 and K=3."""
 
     @pytest.mark.parametrize("loss_kind, loss_fn, labels", [
         ("msle", msle_loss, np.array([12.5, 300.0, 0.7])),
@@ -108,18 +110,25 @@ class TestManualStep:
     ])
     def test_matches_tape_bitwise(self, graphs, loss_kind, loss_fn,
                                   labels):
-        manual = CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0)
-        taped = CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0)
-        assert manual.supports_manual_step()
         batch = collate(graphs)
-        manual_loss = manual.loss_and_grad(batch, labels, loss_kind)
-        loss = loss_fn(taped(batch), labels)
-        loss.backward()
-        assert manual_loss == loss.item()
-        for ours, tape in zip(manual.parameters(), taped.parameters()):
-            assert (ours.grad is None) == (tape.grad is None)
-            if tape.grad is not None:
-                np.testing.assert_array_equal(ours.grad, tape.grad)
+        for seeds in ((0,), (0, 1, 2)):
+            stack = TrainableMemberStack([
+                CostreamGNN(Featurizer("full"), hidden_dim=8, seed=seed)
+                for seed in seeds])
+            losses = stack.loss_and_grad(batch, labels, loss_kind)
+            for k, seed in enumerate(seeds):
+                taped = CostreamGNN(Featurizer("full"), hidden_dim=8,
+                                    seed=seed)
+                loss = loss_fn(taped(batch), labels)
+                loss.backward()
+                assert losses[k] == loss.item()
+                for ours, tape in zip(stack.parameters(),
+                                      taped.parameters()):
+                    assert (ours.grad is None) == (tape.grad is None)
+                    if tape.grad is not None:
+                        np.testing.assert_array_equal(
+                            ours.grad[k].reshape(tape.grad.shape),
+                            tape.grad)
 
 
 class TestMessagePassingSemantics:

@@ -9,6 +9,7 @@ from repro.core import (CostModel, GraphDataset, TrainingConfig,
                         balance_classes, classification_accuracy, q_error,
                         q_error_percentiles, split_traces)
 from repro.core.training import _oversampled_pool
+from repro.training import BatchSchedule, StackedTrainer
 
 
 class TestMetrics:
@@ -168,3 +169,82 @@ class TestCostModelTraining:
         graphs, labels = dataset.metric_view("throughput")
         model.fit(graphs, labels)
         assert np.all(np.isfinite(model.predict(graphs[:5])))
+
+
+def _corrupt(values, index, value):
+    values = np.array(values, dtype=np.float64)
+    values[index] = value
+    return values
+
+
+# (metric, fit arguments from the (graphs, labels) view, message).
+_BAD_INPUTS = {
+    "empty": ("throughput", lambda g, y: ([], np.array([])),
+              "empty training set"),
+    "nan-label": ("throughput",
+                  lambda g, y: (g, _corrupt(y, 3, np.nan)),
+                  "training label 3 is not finite"),
+    "inf-label": ("throughput",
+                  lambda g, y: (g, _corrupt(y, 5, np.inf)),
+                  "training label 5 is not finite"),
+    "negative-msle": ("throughput",
+                      lambda g, y: (g, _corrupt(y, 2, -1.0)),
+                      "training label 2 is negative"),
+    "bce-above-one": ("backpressure",
+                      lambda g, y: (g, _corrupt(y, 4, 2.0)),
+                      r"training label 4 is outside \[0, 1\]"),
+    "labels-longer": ("throughput",
+                      lambda g, y: (g, np.concatenate([y, y[:5]])),
+                      "labels for"),
+    "labels-shorter": ("throughput", lambda g, y: (g, y[:-5]),
+                       "labels for"),
+    "val-graphs-only": ("throughput",
+                        lambda g, y: (g, y, g[:10], None),
+                        "given together"),
+    "val-labels-only": ("throughput",
+                        lambda g, y: (g, y, None, y[:10]),
+                        "given together"),
+    "val-length-mismatch": ("throughput",
+                            lambda g, y: (g, y, g[:10], y[:12]),
+                            "12 validation labels for 10 validation"),
+    "val-nan": ("throughput",
+                lambda g, y: (g, y, g[:10], _corrupt(y[:10], 1, np.nan)),
+                "validation label 1 is not finite"),
+}
+
+
+class TestFitInputValidation:
+    """Malformed training inputs raise ``ValueError`` at the training
+    loop's single entry, naming the problem, before any draw or
+    collation — through ``CostModel.fit`` and ``StackedTrainer.fit``
+    alike."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tiny_corpus):
+        return GraphDataset.from_traces(tiny_corpus[:80])
+
+    @pytest.mark.parametrize("entry", ["cost_model", "stacked"])
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_rejected_before_training(self, dataset, case, entry):
+        metric, make_args, message = _BAD_INPUTS[case]
+        args = make_args(*dataset.metric_view(metric))
+        config = TrainingConfig(hidden_dim=8, epochs=3)
+        members = [CostModel(metric, config, seed=seed)
+                   for seed in (0, 1)]
+        schedule = BatchSchedule(0)
+        with pytest.raises(ValueError, match=message):
+            if entry == "cost_model":
+                members[0].fit(*args, schedule=schedule)
+            else:
+                StackedTrainer(members).fit(*args, schedule=schedule)
+        assert schedule._split_order is None
+        assert not schedule._epoch_perms
+        assert all(m.history.train_loss == [] for m in members)
+
+
+class TestPredictEmpty:
+    def test_cost_model_predict_no_graphs(self):
+        predictions = CostModel("throughput",
+                                TrainingConfig(hidden_dim=8)).predict([])
+        assert predictions.shape == (0,)
+        assert predictions.dtype == np.float64

@@ -1,8 +1,8 @@
-"""Batched-GEMM ensemble inference vs the per-member reference.
+"""Batched-GEMM ensemble inference vs the per-member taped forward.
 
-The float64 member stack must be **bitwise** identical to the
-per-member array path (every batched kernel — stacked matmul,
-member-tiled bincount scatter-add — replays the per-member kernel per
+The float64 member stack must be **bitwise** identical to each
+member's taped forward (every batched kernel — stacked matmul,
+member-tiled bincount scatter-add — replays the taped kernel per
 slice); float32 stacks must stay within the documented tolerance.  The
 reordering optimizer's fused direct batching must reproduce the
 per-ordering graph-object path exactly.
@@ -51,22 +51,22 @@ def trained(dataset, tiny_config):
 class TestFloat64Bitwise:
     @pytest.mark.parametrize("metric", ["processing_latency",
                                         "backpressure"])
-    def test_trained_multi_batch_bitwise(self, trained, dataset, metric):
+    def test_trained_multi_batch_bitwise(self, trained, dataset, metric,
+                                         tape_predictions):
         ensemble = trained[metric]
         graphs, _ = dataset.metric_view(metric)
         fast = ensemble._member_predictions(graphs[:50])
-        reference = ensemble._member_predictions_reference(graphs[:50])
+        reference = tape_predictions(ensemble, graphs[:50])
         np.testing.assert_array_equal(fast, reference)
 
-    def test_untrained_single_batch_bitwise(self, dataset, tiny_config):
+    def test_untrained_single_batch_bitwise(self, dataset, tiny_config,
+                                            tape_predictions):
         ensemble = MetricEnsemble("e2e_latency", size=2,
                                   config=tiny_config, seed=7)
-        for member in ensemble.members:
-            member.network.eval()
         graphs, _ = dataset.metric_view("e2e_latency")
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            tape_predictions(ensemble, graphs[:10]))
 
     def test_matches_member_predict_loop(self, trained, dataset):
         ensemble = trained["processing_latency"]
@@ -76,12 +76,12 @@ class TestFloat64Bitwise:
                             for m in ensemble.members])
         np.testing.assert_array_equal(combined, members.mean(axis=0))
 
-    def test_predict_proba_batched(self, trained, dataset):
+    def test_predict_proba_batched(self, trained, dataset,
+                                   tape_predictions):
         ensemble = trained["backpressure"]
         graphs, _ = dataset.metric_view("backpressure")
         proba = ensemble.predict_proba(graphs[:20])
-        reference = \
-            ensemble._member_predictions_reference(graphs[:20])
+        reference = tape_predictions(ensemble, graphs[:20])
         np.testing.assert_array_equal(proba, reference.mean(axis=0))
 
     def test_legacy_kernels_fall_back(self, trained, dataset):
@@ -140,7 +140,8 @@ class TestStackCacheInvalidation:
         ensemble = trained["processing_latency"]
         assert ensemble.member_stack() is ensemble.member_stack()
 
-    def test_fit_invalidates(self, dataset, tiny_config):
+    def test_fit_invalidates(self, dataset, tiny_config,
+                             tape_predictions):
         ensemble = MetricEnsemble("throughput", size=2,
                                   config=tiny_config, seed=3)
         graphs, labels = dataset.metric_view("throughput")
@@ -151,22 +152,21 @@ class TestStackCacheInvalidation:
         assert after is not before
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            tape_predictions(ensemble, graphs[:10]))
 
     def test_in_place_mutation_requires_invalidate(self, dataset,
-                                                   tiny_config):
+                                                   tiny_config,
+                                                   tape_predictions):
         """The documented escape hatch for in-place ``param.data``
         writes: the identity sweep cannot see them (same array
         object), so the cached stack serves STALE predictions until
         ``invalidate_stacks()`` is called — after which the stack is
-        rebuilt and matches the live per-member reference again.
+        rebuilt and matches the live taped forward again.
         Nothing in the repository mutates parameters in place between
         predictions; external callers that do must use the hatch.
         """
         ensemble = MetricEnsemble("throughput", size=2,
                                   config=tiny_config, seed=7)
-        for member in ensemble.members:
-            member.network.eval()
         graphs, _ = dataset.metric_view("throughput")
         stale = ensemble._member_predictions(graphs[:10])
 
@@ -175,25 +175,24 @@ class TestStackCacheInvalidation:
                 param.data *= 1.5  # in-place: array identity unchanged
 
         # The stack snapshot has not noticed: predictions are stale
-        # (bitwise equal to pre-mutation), while the live per-member
-        # reference already sees the new weights.
+        # (bitwise equal to pre-mutation), while the live taped
+        # forward already sees the new weights.
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]), stale)
-        reference = ensemble._member_predictions_reference(graphs[:10])
+        reference = tape_predictions(ensemble, graphs[:10])
         assert np.max(np.abs(reference - stale)) > 0.0
 
         ensemble.invalidate_stacks()
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]), reference)
 
-    def test_member_level_load_invalidates(self, dataset, tiny_config):
+    def test_member_level_load_invalidates(self, dataset, tiny_config,
+                                           tape_predictions):
         # A member's load_state_dict replaces its parameter arrays;
         # the identity check must catch it without an explicit
         # invalidate_stacks() call.
         ensemble = MetricEnsemble("throughput", size=2,
                                   config=tiny_config, seed=5)
-        for member in ensemble.members:
-            member.network.eval()
         before = ensemble.member_stack()
         state = ensemble.members[0].network.state_dict()
         state["p0"] = state["p0"] + 1.0
@@ -203,7 +202,7 @@ class TestStackCacheInvalidation:
         graphs, _ = dataset.metric_view("throughput")
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            tape_predictions(ensemble, graphs[:10]))
 
 
 class TestStackValidation:
@@ -223,7 +222,7 @@ class TestStackValidation:
         ensemble = MetricEnsemble("throughput", size=2, config=config)
         with pytest.raises(ValueError):
             MemberStack([m.network for m in ensemble.members])
-        # ...and the ensemble routes around it via the reference path.
+        # ...and the ensemble routes around it via the members' tape.
         assert not ensemble._supports_batched()
 
 

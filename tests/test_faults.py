@@ -3,7 +3,8 @@
 The recovery oracle is the repo's bitwise-equivalence discipline: a
 training run killed mid-fit and resumed from its checkpoint must be
 bitwise identical (losses, early stopping, final parameters) to the
-uninterrupted run, for single cost models and stacked ensembles alike.
+uninterrupted run, for single cost models (staged or traditional) and
+stacked ensembles alike.
 """
 
 from __future__ import annotations
@@ -136,6 +137,39 @@ class TestCheckpointResume:
             assert header["epoch"] == epoch + 1
         CostModel("processing_latency", config=config, seed=3).fit(
             graphs, labels, checkpoint_path=ckpt, on_epoch_end=verify)
+
+    def test_traditional_kill_and_resume_bitwise(self, train_data,
+                                                 tmp_path):
+        """The traditional scheme trains on the tape — the loop's one
+        taped branch — and resumes from a kill after epoch 1 exactly
+        like the stacked branch."""
+        graphs, labels = train_data
+        config = TrainingConfig(hidden_dim=8, epochs=4, patience=3,
+                                scheme="traditional")
+        reference = CostModel("processing_latency", config=config,
+                              seed=3)
+        reference.fit(graphs, labels)
+
+        ckpt = tmp_path / "traditional.npz"
+        hook, Killed = self._kill_at(1)
+        killed = CostModel("processing_latency", config=config, seed=3)
+        with pytest.raises(Killed):
+            killed.fit(graphs, labels, checkpoint_path=ckpt,
+                       on_epoch_end=hook)
+        resumed = CostModel("processing_latency", config=config, seed=3)
+        resumed.fit(graphs, labels, checkpoint_path=ckpt, resume=True)
+        self._assert_same_model(reference, resumed)
+
+    def test_traditional_same_seed_replays(self, train_data):
+        graphs, labels = train_data
+        config = TrainingConfig(hidden_dim=8, epochs=3, patience=3,
+                                scheme="traditional")
+        first = CostModel("processing_latency", config=config, seed=3)
+        first.fit(graphs, labels)
+        second = CostModel("processing_latency", config=config, seed=3)
+        second.fit(graphs, labels)
+        assert len(first.history.train_loss) == 3
+        self._assert_same_model(first, second)
 
     def test_stacked_kill_and_resume_bitwise(self, train_data,
                                              tmp_path):

@@ -1,11 +1,11 @@
-"""Tests for Module/Linear/MLP/Dropout."""
+"""Tests for Module/Linear/MLP."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Module, Tensor
+from repro.nn import MLP, Linear, Module, Tensor
 
 
 class TestModuleDiscovery:
@@ -96,31 +96,3 @@ class TestForward:
         for param in mlp.parameters():
             assert param.grad is not None
 
-
-class TestDropout:
-    def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-    def test_eval_mode_is_identity(self, rng):
-        dropout = Dropout(0.5, rng)
-        dropout.training = False
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(dropout(x).numpy(), 1.0)
-
-    def test_training_mode_scales_kept_units(self, rng):
-        dropout = Dropout(0.5, rng)
-        x = Tensor(np.ones((200, 10)))
-        out = dropout(x).numpy()
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        # Expected keep fraction around 50%.
-        assert 0.35 < (out > 0).mean() < 0.65
-
-    def test_mlp_eval_train_toggle(self, rng):
-        mlp = MLP(3, [8], 1, rng, dropout=0.5)
-        mlp.eval()
-        x = Tensor(np.ones((5, 3)))
-        first = mlp(x).numpy()
-        second = mlp(x).numpy()
-        np.testing.assert_allclose(first, second)

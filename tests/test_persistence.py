@@ -66,6 +66,26 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             load_costream(tmp_path / "bad.npz")
 
+    def test_previous_format_version_rejected(self, trained, tmp_path):
+        """A version-1 file (its config still carries the ``dropout``
+        field) fails with the format message, not a ``TypeError``
+        from ``TrainingConfig``."""
+        import json
+        path = tmp_path / "model.npz"
+        save_costream(trained, path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        header = json.loads(
+            bytes(arrays["__costream_header__"]).decode())
+        header["format_version"] = 1
+        header["config"]["dropout"] = 0.0
+        arrays["__costream_header__"] = np.frombuffer(
+            json.dumps(header).encode(), dtype=np.uint8)
+        with (tmp_path / "old.npz").open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(ValueError, match="unsupported model format 1"):
+            load_costream(tmp_path / "old.npz")
+
 
 class TestStackedTrainingRoundTrip:
     """ISSUE-5: persistence after *stacked* ensemble training."""
@@ -91,11 +111,12 @@ class TestStackedTrainingRoundTrip:
                 loaded.predict_metric(metric, dataset.graphs))
 
     def test_member_stacks_rebuilt_after_load(self, stacked_trained,
-                                              tiny_corpus, tmp_path):
+                                              tiny_corpus, tmp_path,
+                                              tape_predictions):
         """Inference stacks must invalidate/rebuild across the round
-        trip: stack predictions equal the per-member reference on the
-        loaded model, and re-loading into a warm ensemble is caught by
-        the identity-based staleness sweep."""
+        trip: stack predictions equal the members' taped forwards on
+        the loaded model, and re-loading into a warm ensemble is
+        caught by the identity-based staleness sweep."""
         path = tmp_path / "stacked.npz"
         save_costream(stacked_trained, path)
         loaded = load_costream(path)
@@ -104,7 +125,7 @@ class TestStackedTrainingRoundTrip:
         ensemble = loaded.ensembles["throughput"]
         np.testing.assert_array_equal(
             ensemble._member_predictions(dataset.graphs),
-            ensemble._member_predictions_reference(dataset.graphs))
+            tape_predictions(ensemble, dataset.graphs))
         # Warm the stack, then replace weights via load_state_dict —
         # the next prediction must serve the fresh weights.
         warm = ensemble._member_predictions(dataset.graphs)
@@ -117,8 +138,7 @@ class TestStackedTrainingRoundTrip:
         shifted = ensemble._member_predictions(dataset.graphs)
         assert not np.array_equal(warm, shifted)
         np.testing.assert_array_equal(
-            shifted,
-            ensemble._member_predictions_reference(dataset.graphs))
+            shifted, tape_predictions(ensemble, dataset.graphs))
 
     def test_member_training_mode_persisted(self, stacked_trained,
                                             tmp_path):

@@ -1,10 +1,12 @@
 """Tests for the stacked-ensemble training engine (repro.training).
 
-The contract under test: under a shared :class:`BatchSchedule`, the
-:class:`StackedTrainer` is **bitwise identical** to the retained
-sequential reference (:func:`fit_members_sequential`, i.e. the
-``CostModel.fit`` loop) — per-member train/val loss trajectories,
-early-stopping epochs, and final parameters.
+The contract under test: under a shared :class:`BatchSchedule`, one
+K-member :class:`StackedTrainer` run is **bitwise identical** to K
+independent one-member runs (:func:`fit_members_sequential`, i.e.
+``CostModel.fit`` per member) — per-member train/val loss
+trajectories, early-stopping epochs, and final parameters.  The
+stacked step itself is checked against the taped forward and
+``loss.backward()``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.core.dataset import GraphDataset
 from repro.core.ensemble import MetricEnsemble
 from repro.core.model import TrainableMemberStack
 from repro.core.training import CostModel, TrainingConfig
-from repro.data import BenchmarkCollector
 from repro.nn import MLP, Adam, StackedAdam, Tensor, clip_grad_norm, \
     StackedMLP, stacked_clip_grad_norm
 from repro.training import (BatchSchedule, StackedTrainer,
@@ -101,8 +102,11 @@ class TestStackedBitwiseEquivalence:
         _assert_members_identical([plain], [stacked])
 
     def test_unsupported_configuration_rejected(self, corpus_data):
+        """The traditional scheme trains on the tape, one member at a
+        time; a lock-step run of several members is refused."""
         graphs, labels = corpus_data.metric_view("throughput")
-        config = TrainingConfig(hidden_dim=8, epochs=2, dropout=0.3)
+        config = TrainingConfig(hidden_dim=8, epochs=2,
+                                scheme="traditional")
         trainer = StackedTrainer(_members("throughput", config, size=2))
         assert not trainer.supported()
         with pytest.raises(ValueError, match="stacked training"):
@@ -279,7 +283,8 @@ class TestEnsembleRouting:
                 np.testing.assert_array_equal(state[key],
                                               ref_state[key])
 
-    def test_stacked_fit_invalidates_member_stacks(self, tiny_corpus):
+    def test_stacked_fit_invalidates_member_stacks(self, tiny_corpus,
+                                                   tape_predictions):
         dataset = GraphDataset.from_traces(tiny_corpus[:80])
         graphs, labels = dataset.metric_view("processing_latency")
         config = TrainingConfig(hidden_dim=10, epochs=2, patience=2,
@@ -292,7 +297,7 @@ class TestEnsembleRouting:
         assert not np.array_equal(before, after)
         # The rebuilt stack serves the trained weights bitwise.
         np.testing.assert_array_equal(
-            after, ensemble._member_predictions_reference(graphs[:10]))
+            after, tape_predictions(ensemble, graphs[:10]))
 
     def test_stacked_fine_tune_changes_weights(self, tiny_corpus):
         dataset = GraphDataset.from_traces(tiny_corpus[:80])
@@ -351,9 +356,9 @@ class TestTrainableMemberStack:
         losses = stack.loss_and_grad(batch, chunk, "msle")
         stacked_params = stack.parameters()
         for k, member in enumerate(members):
-            member.network.zero_grad()
-            loss = member.network.loss_and_grad(batch, chunk, "msle")
-            assert losses[k] == loss
+            loss = member._loss(member.network(batch), chunk)
+            loss.backward()
+            assert losses[k] == loss.item()
             for i, param in enumerate(member.network.parameters()):
                 np.testing.assert_array_equal(
                     stacked_params[i].grad[k].reshape(param.grad.shape),
@@ -373,8 +378,10 @@ class TestTrainableMemberStack:
 
 
 class TestFoldedValidationForward:
-    """``forward_members`` (the training-plan validation forward) is
-    bitwise identical to the inference ``MemberStack`` forward."""
+    """The trainable stack validates through its inherited
+    ``forward_arrays``: its weights are live aliases of the stepped
+    parameter Tensors, so the forward equals an inference stack built
+    from the members' current slices."""
 
     @pytest.mark.parametrize("metric", ["throughput", "success"])
     def test_matches_inference_stack(self, corpus_data, metric):
@@ -384,28 +391,18 @@ class TestFoldedValidationForward:
         graphs, labels = corpus_data.metric_view(metric)
         config = TrainingConfig(hidden_dim=12)
         members = _members(metric, config, size=3)
-        networks = [m.network for m in members]
-        trainable = TrainableMemberStack(networks)
-        inference = MemberStack(networks, dtype=np.float64)
-        for batch, _ in paired_batches(graphs[:48], labels[:48], 16):
-            np.testing.assert_array_equal(
-                trainable.forward_members(batch),
-                inference.forward_arrays(batch))
-
-    def test_loss_over_batches_uses_training_plan(self, corpus_data):
-        """Validation batches should build the (cheap) training-plan
-        caches, not the member-tiled inference indexes."""
-        from repro.core.training import paired_batches
-
-        graphs, labels = corpus_data.metric_view("throughput")
-        config = TrainingConfig(hidden_dim=12)
-        members = _members("throughput", config, size=2)
-        stack = TrainableMemberStack([m.network for m in members])
-        pairs = paired_batches(graphs[:32], labels[:32], 16)
-        stack.loss_over_batches(pairs, "msle")
+        trainable = TrainableMemberStack([m.network for m in members])
+        pairs = paired_batches(graphs[:48], labels[:48], 16)
+        optimizer = StackedAdam(trainable.parameters(), 3, lr=1e-2)
+        trainable.loss_and_grad(*pairs[0],
+                                "msle" if metric == "throughput"
+                                else "bce")
+        optimizer.step()  # in place: the stacks must see the new values
+        for k, member in enumerate(members):
+            member.network.load_state_dict(trainable.member_state(k))
+        inference = MemberStack([m.network for m in members],
+                                dtype=np.float64)
         for batch, _ in pairs:
-            # The training-plan caches were built...
-            assert "_member_train_plan" in batch.__dict__
-            # ...and the member-tiled inference indexes were not.
-            assert "_member_plan" not in batch.__dict__
-            assert "_member_flat_gid" not in batch.__dict__
+            np.testing.assert_array_equal(
+                trainable.forward_arrays(batch),
+                inference.forward_arrays(batch))
