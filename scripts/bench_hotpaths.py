@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="corpus sampling seed")
     parser.add_argument("--profile", action="store_true",
                         help="print cProfile top-20s of one placement "
-                             "decision and one mega-batched wave")
+                             "decision and one decision wave")
     args = parser.parse_args(argv)
 
     if args.profile:

@@ -6,7 +6,7 @@ Usage::
     python scripts/check_perf_regression.py --fresh fresh.json \
         [--baseline BENCH_hotpaths.json] \
         [--decision-floor 5.0] [--epoch-floor 2.0] [--collate-floor 2.0] \
-        [--ensemble-floor 0.8] [--throughput-floor 1.0] \
+        [--ensemble-floor 0.8] \
         [--candidate-collation-floor 2.0] [--train-floor 1.3] \
         [--tolerance 1e-9]
 
@@ -19,11 +19,9 @@ baseline and **fails (exit 1)** when
   relaxed floors; the nightly enforces the full floors at small scale),
 * the batched-GEMM ensemble path regresses below ``--ensemble-floor``
   (1.0 means parity with the per-member loop),
-* the mega-batched decision wave regresses below
-  ``--throughput-floor`` against sequential ``optimize`` calls
-  (1.0 means parity; the wave's amortization win is bounded by the
-  bitwise-pinned arithmetic share, see PERFORMANCE.md — measured
-  ~1.6x at tiny scale, ~1.15x at small scale on one core),
+* a decision wave's objectives drift from sequential ``optimize``
+  calls (``decision_throughput``: the float64 delta must stay within
+  ``--tolerance`` and every decision must agree),
 * the index-native candidate collation regresses below
   ``--candidate-collation-floor`` against the retained per-candidate
   reference loop, its batches stop matching the reference field for
@@ -48,6 +46,10 @@ baseline and **fails (exit 1)** when
 * float32 inference drifts beyond the tolerance recorded in the
   benchmark itself (``float32_tolerance`` of ``ensemble_batched`` /
   ``decision_throughput``), or a float32 wave flips a decision.
+
+``decision_throughput.speedup`` (wave vs sequential decisions) is
+recorded but not gated: candidate batches are no longer fused, so a
+wave and sequential calls score the same per-request batches.
 
 The baseline is used for drift *reporting*: every metric is printed as
 ``fresh vs baseline`` so a regression that still clears the floor is
@@ -85,7 +87,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--epoch-floor", type=float, default=2.0)
     parser.add_argument("--collate-floor", type=float, default=2.0)
     parser.add_argument("--ensemble-floor", type=float, default=0.8)
-    parser.add_argument("--throughput-floor", type=float, default=1.0)
     parser.add_argument("--candidate-collation-floor", type=float,
                         default=2.0)
     # Measured ~1.45-1.55x at small scale on one core (the stacked
@@ -110,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
 
     floors = {
         "placement_decision": args.decision_floor,
-        "decision_throughput": args.throughput_floor,
         "epoch": args.epoch_floor,
         "collate": args.collate_floor,
         "candidate_collation": args.candidate_collation_floor,
@@ -227,10 +227,10 @@ def main(argv: list[str] | None = None) -> int:
                                           float("inf")))
         if wave_delta > args.tolerance:
             failures.append(
-                f"mega-batched wave delta {wave_delta:.2e} exceeds "
+                f"decision-wave delta {wave_delta:.2e} exceeds "
                 f"{args.tolerance:.0e}")
         if not throughput.get("decisions_agree", False):
-            failures.append("mega-batched wave decisions disagree with "
+            failures.append("decision-wave decisions disagree with "
                             "the sequential path")
         wave_f32 = float(throughput.get("float32_max_rel_delta",
                                         float("inf")))

@@ -13,7 +13,7 @@ from .ensemble import MetricEnsemble
 from .features import Featurizer
 from .graph import (GraphBatch, QueryGraph, build_graph, collate,
                     collate_candidates, collate_chunks, featurize_hosts,
-                    featurize_plan, mega_mergeable, merge_batches)
+                    featurize_plan)
 from .training import TrainingConfig
 
 __all__ = ["Costream"]
@@ -128,9 +128,11 @@ class Costream:
         :class:`~repro.hardware.IndexCandidates` matrix (the
         enumerator's index-native output) — then collation is fully
         vectorized and no string placement is ever materialized here.
-        Query-only featurization and partial placements fall back to
-        ``build_graphs`` + ``collate_chunks``; batches are identical
-        either way.
+        Batches from the index-native core carry their candidate
+        layout (``GraphBatch.candidates``), so member stacks score them
+        on their distinct rows.  Query-only featurization and partial
+        placements fall back to ``build_graphs`` + ``collate_chunks``
+        (no layout); every other batch field is identical either way.
 
         ``host_features`` optionally passes pre-featurized hosts
         (:func:`repro.core.graph.featurize_hosts`) so callers scoring
@@ -165,32 +167,21 @@ class Costream:
                                    selectivities)
         return collate_chunks(graphs, batch_size)
 
-    def merged_inference_batches(self, batches: list[GraphBatch],
-                                 metrics: tuple[str, ...] | None = None
+    def merged_inference_batches(self, batches: list[GraphBatch]
                                  ) -> list[GraphBatch]:
-        """Fuse batches into one mega-batch when that is exactly safe.
+        """The batches a decision wave scores: ``batches``, unfused.
 
-        The cross-decision fast path (:mod:`repro.serving`, the
-        reordering optimizer): when every ensemble that will score the
-        batches runs the batched-GEMM member stack and every batch is
-        :func:`repro.core.graph.mega_mergeable` (no single-row GEMM
-        slices), the whole list merges into ONE
-        :func:`repro.core.graph.merge_batches` mega-batch whose
-        predictions are bitwise identical to scoring the batches
-        separately (the merged readout replays the original per-batch
-        GEMM shapes). Configurations outside that envelope — legacy
-        kernels, the ``traditional`` scheme, single-graph batches —
-        return the input list unchanged, so callers can always score
-        the result of this method.
+        Candidate batches (``batch.candidates`` set) are each scored on
+        their own distinct rows
+        (:meth:`repro.core.graph.GraphBatch.compact_prefix`), which a
+        fused mega-batch would lose, and even on the full path a fused
+        wave ran slower than its requests scored one by one
+        (PERFORMANCE.md §8, §18).  The serving batcher and the
+        reordering optimizer score what this returns;
+        :func:`repro.core.graph.merge_batches` remains the fusing
+        primitive.
         """
-        if len(batches) <= 1:
-            return batches
-        for metric in (metrics or self.metrics):
-            if not self.ensembles[metric]._supports_batched():
-                return batches
-        if not all(mega_mergeable(batch) for batch in batches):
-            return batches
-        return [merge_batches(batches)]
+        return batches
 
     def predict(self, plan: QueryPlan, placement: Placement,
                 cluster: Cluster,

@@ -33,10 +33,21 @@ Fast-path machinery (see PERFORMANCE.md):
   per-batch cast; outside the context everything stays float64 and is
   bitwise identical to the pre-float32 code.
 * :func:`merge_batches` fuses several pre-collated batches into one
-  mega-batch (the cross-decision serving path), recording the original
-  per-batch graph counts as ``readout_segments`` so the readout GEMMs
-  keep their original shapes and per-graph outputs stay bitwise
-  identical to scoring each batch separately.
+  mega-batch, recording the original per-batch graph counts as
+  ``readout_segments`` so the readout GEMMs keep their original shapes
+  and per-graph outputs stay bitwise identical to scoring each batch
+  separately.  Candidate batches are never fused (see below).
+* :func:`collate_candidates` batches carry their candidate structure
+  (:class:`CandidateLayout`): all candidates place one plan on one
+  cluster, so every operator row repeats in every candidate and every
+  host row in every candidate that uses the host.
+  :meth:`GraphBatch.compact_prefix` maps the batch onto its distinct
+  rows — one per operator, per used host, per (host, co-located
+  operators) class of the ops -> hw stage and per (operator, host
+  class) of the hw -> ops stage — so the member stack runs the
+  encoders and both placement stages once per distinct row and
+  gathers the result into the full buffer, bitwise equal to the full
+  forward.
 """
 
 from __future__ import annotations
@@ -54,7 +65,8 @@ from ..query.plan import QueryPlan
 from .features import Featurizer, NODE_TYPES
 
 __all__ = ["QueryGraph", "GraphBatch", "StageSlice", "PlanFeatures",
-           "HostFeatures", "build_graph", "featurize_plan",
+           "HostFeatures", "CandidateLayout", "CompactClasses",
+           "build_graph", "featurize_plan",
            "featurize_hosts", "collate", "collate_candidates",
            "collate_candidates_reference", "collate_reference",
            "collate_chunks", "as_batches", "batches_equal",
@@ -229,6 +241,73 @@ class StageSlice:
 
 
 @dataclass(frozen=True)
+class CandidateLayout:
+    """What a candidate batch was collated from: many placements of
+    one plan on one cluster.
+
+    ``assignment[i, j]`` is the cluster-node index hosting column ``j``
+    in candidate ``i``; ``columns[j]`` is that column's plan row
+    (``None`` when the columns already are the plan's operator order,
+    as for enumerator candidates).  Collation attaches the arrays it
+    already holds; :meth:`GraphBatch.compact_classes` derives the
+    distinct-row maps from them on first use.
+    """
+
+    assignment: np.ndarray                     # (n_cands, n_ops)
+    plan: "PlanFeatures"
+    columns: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class CompactClasses:
+    """A candidate batch's distinct rows, up to both placement stages.
+
+    Every row of a candidate batch after the ops -> hw and hw -> ops
+    stages is a function of a few distinct inputs:
+
+    * an operator row's encoding depends on the plan row alone, and a
+      host row's on the cluster node alone;
+    * a host row after ops -> hw depends on its node and the set of
+      operator columns it hosts (messages summed in ascending column
+      order, the order of the batch's bincount) — one *host class*
+      per distinct (node, column set);
+    * an operator row after hw -> ops depends on the operator and its
+      host's class — its one message is ``0.0 + state``, exactly what
+      the bincount of a single message computes (in float32 too:
+      bincount sums in float64, which is exact for one message).
+
+    Operators sit in *slots*: type-major, plan order within a type
+    (the order of the first candidate's per-type feature rows).  A
+    GEMM whose full-batch input has >= 2 rows but whose compact input
+    would have one gets its row duplicated: GEMMs with >= 2 rows are
+    row-invariant on the BLAS builds this project runs, a one-row GEMM
+    takes another kernel.  Padded rows are never gathered.
+    """
+
+    #: ``(node_type, encoder rows, slots)`` per operator type: the
+    #: first ``encoder rows`` rows of the batch's type feature matrix
+    #: feed the encoder, whose first ``slots`` output rows are kept.
+    op_inputs: list[tuple[str, int, int]]
+    #: Rows of the batch's host feature matrix to encode, one per
+    #: distinct node (its *host slot*).
+    host_rows: np.ndarray
+    #: ops -> hw messages: source operator slot and host class.
+    stage1_src: np.ndarray
+    stage1_seg: np.ndarray
+    #: Host slot of each host class (padded) and the class counts.
+    stage1_host: np.ndarray
+    n_stage1: int                              # host classes, padded
+    n_host_classes: int
+    #: hw -> ops, per operator type: ``(node_type, host class, operator
+    #: slot, classes kept)`` with the index arrays padded.
+    stage2: list[tuple[str, np.ndarray, np.ndarray, int]]
+    #: Compact row of every batch row: host classes first, then each
+    #: type's operator classes in :attr:`op_inputs` order.
+    expand: np.ndarray
+    n_compact: int
+
+
+@dataclass(frozen=True)
 class GraphBatch:
     """Several query graphs merged into one disjoint union."""
 
@@ -249,6 +328,38 @@ class GraphBatch:
     #: per-row results depend on the row count, so merged batches must
     #: replay the original readout shapes to stay bitwise identical.
     readout_segments: np.ndarray | None = None
+    #: Set on :func:`collate_candidates` batches (``None`` otherwise):
+    #: the member stack then runs the encoders and both placement
+    #: stages on the distinct rows (:meth:`compact_prefix`).  Every
+    #: other field is the full batch, so the tape, :func:`batches_equal`
+    #: and the unkeyed forward read it unchanged.
+    candidates: CandidateLayout | None = None
+
+    def compact_classes(self) -> CompactClasses:
+        """This candidate batch's distinct-row maps (cached)."""
+        cached = self.__dict__.get("_compact_classes")
+        if cached is None:
+            cached = _compact_classes(self)
+            self.__dict__["_compact_classes"] = cached
+        return cached
+
+    def compact_prefix(self, width: int, size: int
+                       ) -> tuple[CompactClasses, np.ndarray, np.ndarray]:
+        """:meth:`compact_classes` plus its member-tiled indices, cached
+        per (width, size): the ops -> hw scatter-add flat index and the
+        gather of the ``(size * n_compact, width)`` compact states into
+        the ``(size * n_nodes, width)`` hidden buffer."""
+        cached = self.__dict__.get("_compact_prefix")
+        if cached is None or cached[0] != (width, size):
+            classes = self.compact_classes()
+            flat_seg = (classes.stage1_seg[:, None] * width
+                        + np.arange(width, dtype=np.int64)).ravel()
+            cached = ((width, size), (
+                classes,
+                _tile_members(flat_seg, classes.n_stage1 * width, size),
+                _tile_members(classes.expand, classes.n_compact, size)))
+            self.__dict__["_compact_prefix"] = cached
+        return cached[1]
 
     def flat_graph_id(self, width: int) -> np.ndarray:
         """Cached flat indices for the per-graph readout scatter-add."""
@@ -272,9 +383,10 @@ class GraphBatch:
         return _cast_features_cached(self.__dict__, self.type_features,
                                      dtype)
 
-    def member_stage_plan(self, width: int, size: int) -> list[list[tuple]]:
-        """:meth:`stage_plan` tiled over ``size`` ensemble members,
-        cached per (width, size).
+    def member_stage_plan(self, width: int, size: int,
+                          first: int = 0) -> list[list[tuple]]:
+        """:meth:`stage_plan` from stage ``first`` on, tiled over
+        ``size`` ensemble members, cached per (width, size, first).
 
         The batched member forward keeps its hidden states in one
         ``(size * n_nodes, width)`` buffer so every gather/scatter is a
@@ -285,16 +397,18 @@ class GraphBatch:
         :func:`repro.nn.autodiff.stacked_flat_scatter_add`).  Entries
         are ``(node_type, tiled_recv, tiled_src, tiled_flat_seg,
         n_recv)`` with ``tiled_src``/``tiled_flat_seg`` ``None`` for
-        edgeless receivers.
+        edgeless receivers.  Candidate batches start at ``first=2``:
+        their placement stages run on the compact rows, so those two
+        stages are never tiled.
         """
         if size == 1:
             # One member: every tiled index equals the untiled one, so
             # the stage plan is shared as-is (same entry layout).
-            return self.stage_plan(width)
+            return self.stage_plan(width, first)
         cached = self.__dict__.get("_member_plan")
-        if cached is None or cached[0] != (width, size):
+        if cached is None or cached[0] != (width, size, first):
             plan = []
-            for group in self.stage_plan(width):
+            for group in self.stage_plan(width, first):
                 tiled_group = []
                 for node_type, recv, src, flat_seg, n_recv in group:
                     tiled_group.append((
@@ -306,7 +420,7 @@ class GraphBatch:
                         if src is not None else None,
                         n_recv))
                 plan.append(tiled_group)
-            cached = ((width, size), plan)
+            cached = ((width, size, first), plan)
             self.__dict__["_member_plan"] = cached
         return cached[1]
 
@@ -385,8 +499,9 @@ class GraphBatch:
             self.__dict__["_member_graph_rows"] = cached
         return cached[1]
 
-    def stage_plan(self, width: int) -> list[list[tuple]]:
-        """Flattened staged-update schedule, cached per batch.
+    def stage_plan(self, width: int, first: int = 0) -> list[list[tuple]]:
+        """Flattened staged-update schedule from stage ``first`` on,
+        cached per batch.
 
         One list per stage (ops->hw, hw->ops, then each flow level);
         each entry is ``(node_type, recv_rows, edge_src, flat_seg,
@@ -395,10 +510,10 @@ class GraphBatch:
         schedule (and its scatter indices) is built once.
         """
         cached = self.__dict__.get("_stage_plan")
-        if cached is None or cached[0] != width:
+        if cached is None or cached[0] != (width, first):
             plan = []
             for slices in (self.ops_to_hw, self.hw_to_ops,
-                           *self.flow_levels):
+                           *self.flow_levels)[first:]:
                 group = []
                 for node_type, stage in slices.items():
                     if stage.recv_rows.size == 0:
@@ -410,7 +525,7 @@ class GraphBatch:
                                   else None,
                                   stage.recv_rows.size))
                 plan.append(group)
-            cached = (width, plan)
+            cached = ((width, first), plan)
             self.__dict__["_stage_plan"] = cached
         return cached[1]
 
@@ -896,11 +1011,12 @@ def mega_mergeable(batch: GraphBatch) -> bool:
 def merge_batches(batches: Sequence[GraphBatch]) -> GraphBatch:
     """Fuse pre-collated batches into one mega-batch (pure arrays).
 
-    The cross-decision serving primitive: many independent requests'
-    candidate batches (heterogeneous plans included — this is
-    :func:`collate_candidates` generalized across plans) merge into one
-    disjoint union, so every message-passing stage and GEMM of an
-    inference forward runs once per *wave* instead of once per batch.
+    Many independent batches (heterogeneous plans included) merge into
+    one disjoint union, so every message-passing stage and GEMM of an
+    inference forward runs once per merged batch instead of once per
+    batch.  The result carries no candidate layout, so it always takes
+    the member stack's full path; serving no longer fuses batches
+    (``Costream.merged_inference_batches`` returns its input).
     The staged fields are field-for-field what collating all source
     graphs jointly would produce; ``neighbor_rounds`` edges are grouped
     per source batch (same receivers and edge multisets, so the
@@ -1450,7 +1566,99 @@ def _collate_candidates_indexed(plan_features: PlanFeatures,
                       graph_id=graph_id, type_rows=type_rows,
                       type_features=type_features, ops_to_hw=ops_to_hw,
                       hw_to_ops=hw_to_ops, flow_levels=flow_levels,
-                      neighbor_rounds=rounds)
+                      neighbor_rounds=rounds,
+                      candidates=CandidateLayout(assignment, plan_features,
+                                                 col_rows))
+
+
+def _compact_classes(batch: GraphBatch) -> CompactClasses:
+    """Build :class:`CompactClasses` from a candidate batch's
+    assignment matrix alone — every class key is a function of it, so
+    no pass over the batch's edge arrays is needed.
+
+    Host classes are keyed on (node, packed co-location bitmask), so a
+    plan of any size keys without overflow; operator classes on
+    ``slot * n_host_classes + host class``, which stays far below the
+    int64 range for any batch that fits in memory.
+    """
+    layout = batch.candidates
+    assignment = np.ascontiguousarray(layout.assignment, dtype=np.int64)
+    n_cands, n_ops = assignment.shape
+    parts = _candidate_parts(layout.plan)
+    op_rows = parts["op_rows"]
+    col_rows = op_rows if layout.columns is None else layout.columns
+    slot_of_row = np.empty(n_ops, dtype=np.int64)
+    slot_of_row[parts["type_rows_concat"]] = op_rows
+    col_slot = slot_of_row[col_rows]
+
+    # same[c, j, k]: candidate c hosts columns j and k on one node.  A
+    # column is its host's first appearance iff no earlier column
+    # shares the node — the batch's host rows, in batch order.
+    same = assignment[:, :, None] == assignment[:, None, :]
+    is_first = same.argmax(axis=2) == op_rows
+    n_host_rows = batch.type_rows["host"].size
+
+    # Host classes, keyed per (candidate, column) so each column
+    # directly knows its host's class.  np.unique returns each key's
+    # first (row-major) position: the first column of that node in the
+    # first candidate using it, i.e. always a batch host row.
+    nodes = assignment.reshape(-1, 1)
+    keys = np.concatenate(
+        [nodes.view(np.uint8),
+         np.packbits(same, axis=2).reshape(n_cands * n_ops, -1)], axis=1)
+    keys = keys.view(f"V{keys.shape[1]}").ravel()
+    _, class_first, host_class = np.unique(keys, return_index=True,
+                                           return_inverse=True)
+    host_class = host_class.reshape(n_cands, n_ops)
+    n_host_classes = class_first.size
+    batch_host_row = np.cumsum(is_first.ravel()) - 1
+    _, node_first, class_node = np.unique(nodes.ravel()[class_first],
+                                          return_index=True,
+                                          return_inverse=True)
+    host_rows = batch_host_row[class_first[node_first]]
+    if host_rows.size == 1 and n_host_rows > 1:
+        host_rows = np.repeat(host_rows, 2)
+    # ops -> hw messages of each class, ascending columns.
+    seg, cols = np.nonzero(same.reshape(-1, n_ops)[class_first])
+    src = col_slot[cols]
+    n_stage1 = n_host_classes
+    if n_host_classes == 1 and n_host_rows > 1:
+        src = np.concatenate([src, src])
+        seg = np.concatenate([seg, seg + 1])
+        class_node = np.repeat(class_node, 2)
+        n_stage1 = 2
+
+    # Operator classes: (slot, host class) keys sort type-major, since
+    # slots are type-major; each type's classes form one block.
+    op_keys = col_slot * n_host_classes + host_class
+    op_classes, op_class = np.unique(op_keys.ravel(), return_inverse=True)
+    class_slot, class_host = np.divmod(op_classes, n_host_classes)
+    op_inputs = []
+    stage2 = []
+    for node_type, start, stop in parts["type_spans"]:
+        n_type = stop - start
+        lo, hi = np.searchsorted(class_slot, (start, stop))
+        hosts, slots = class_host[lo:hi], class_slot[lo:hi]
+        if hi - lo == 1 and n_cands * n_type > 1:
+            hosts, slots = np.repeat(hosts, 2), np.repeat(slots, 2)
+        stage2.append((node_type, hosts, slots, int(hi - lo)))
+        # A lone operator's encoder reads two rows: candidates 0 and 1
+        # hold the same plan row first in the tiled feature matrix.
+        op_inputs.append((node_type,
+                          2 if n_type == 1 and n_cands > 1 else n_type,
+                          n_type))
+
+    host_counts = is_first.sum(axis=1)
+    sizes = n_ops + host_counts
+    expand = np.empty(batch.n_nodes, dtype=np.int64)
+    expand[((np.cumsum(sizes) - sizes)[:, None] + col_rows).ravel()] = \
+        n_host_classes + op_class
+    expand[batch.type_rows["host"]] = host_class[is_first]
+    return CompactClasses(
+        op_inputs=op_inputs, host_rows=host_rows, stage1_src=src,
+        stage1_seg=seg, stage1_host=class_node, n_stage1=n_stage1,
+        n_host_classes=n_host_classes, stage2=stage2, expand=expand,
+        n_compact=n_host_classes + op_classes.size)
 
 
 def collate_candidates_reference(plan_features: PlanFeatures,

@@ -47,9 +47,9 @@ def run_speedups(context: ExperimentContext) -> list[dict]:
 
     COSTREAM placements come from the cross-decision throughput engine
     (:class:`repro.serving.DecisionBatcher`): all of a query type's
-    decisions are served as ONE wave — one mega-batch, one ensemble
-    pass per metric — with per-candidate predictions bitwise identical
-    to deciding each query separately (PERFORMANCE.md).
+    decisions are served as ONE wave, each query's candidates scored
+    on their own distinct rows, with per-candidate predictions bitwise
+    identical to deciding each query separately (PERFORMANCE.md).
     """
     scale = context.scale
     rng = np.random.default_rng(context.seed + 21)

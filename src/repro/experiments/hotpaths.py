@@ -367,14 +367,16 @@ def _throughput_requests(scale: ExperimentScale,
 
 def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
                                n_requests: int) -> dict:
-    """Cross-decision serving: one mega-batched wave vs sequential
-    ``optimize`` calls over the same mixed-plan decision stream.
+    """Cross-decision serving: one :class:`DecisionBatcher` wave vs
+    sequential ``optimize`` calls over the same mixed-plan decision
+    stream.
 
     Both sides run the shipped fast path end to end (enumerate,
-    featurize, collate, predict 3 metrics, rank); the wave amortizes
-    the per-decision stage scheduling and ensemble dispatch across the
-    whole stream.  float64 wave decisions must be bitwise identical to
-    the sequential path; the float32 end-to-end wave must stay within
+    featurize, collate, predict 3 metrics, rank).  Candidate batches
+    are not fused, so both score the same per-request batches on their
+    compact rows; ``speedup`` is recorded, not gated.  float64 wave
+    decisions must be bitwise identical to the sequential path; the
+    float32 end-to-end wave must stay within
     :data:`FLOAT32_TOLERANCE` at the *decision* level and never flip a
     chosen placement.
     """
@@ -901,20 +903,18 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
                          and float32_ok),
         },
         # The floors the nightly gate enforces at small scale.  The
-        # decision-throughput floor is parity: the wave's amortization
-        # win is Amdahl-capped by the bitwise-pinned arithmetic share
-        # (~1.06x measured at small scale on one core, ~1.6x at tiny
-        # where the CI gate enforces 1.2x) — PERFORMANCE.md section 8.
+        # decision wave has none: its candidate batches are not fused,
+        # so it scores the same per-request batches as sequential
+        # calls (PERFORMANCE.md section 18).
         "targets": {
             "placement_decision_speedup": 5.0,
-            "decision_throughput_speedup": 1.0,
             "epoch_speedup": 2.0,
             "collate_speedup": 2.0,
             "candidate_collation_speedup": 2.0,
             # The nightly gate floor: measured ~1.45-1.55x at small
             # scale on one core (bitwise-pinned arithmetic — see the
             # PERFORMANCE.md training section), floored with noise
-            # headroom like the decision-wave entry.
+            # headroom.
             "ensemble_train_speedup": 1.3,
         },
     }
@@ -923,9 +923,9 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
 def profile_decision(scale_name: str | None = None, top: int = 20) -> None:
     """cProfile the fast-path decision paths (``--profile`` flag).
 
-    Profiles one sequential placement decision and one mega-batched
-    decision wave (:class:`repro.serving.DecisionBatcher`) — the first
-    places to look when a future PR regresses latency or throughput.
+    Profiles one sequential placement decision and one decision wave
+    (:class:`repro.serving.DecisionBatcher`) — the first places to
+    look when a future change regresses latency or throughput.
     """
     import cProfile
     import pstats
@@ -952,7 +952,7 @@ def profile_decision(scale_name: str | None = None, top: int = 20) -> None:
     requests = _throughput_requests(scale, n_requests=8)
     batcher.decide(requests)  # warm caches outside the profile
 
-    print("\n=== one mega-batched decision wave (8 requests) ===")
+    print("\n=== one decision wave (8 requests) ===")
     profiler = cProfile.Profile()
     profiler.enable()
     batcher.decide(requests)

@@ -50,13 +50,13 @@ def bce_with_logits_loss(logits: Tensor, target: np.ndarray) -> Tensor:
 # ----------------------------------------------------------------------
 # Array-mode loss + gradient (manual training step)
 # ----------------------------------------------------------------------
-def _loss_and_grad_arrays(pred: np.ndarray, target: np.ndarray,
-                          kind: str) -> tuple[float, np.ndarray]:
-    """(loss value, d loss / d pred) on raw arrays.
+def _loss_terms(pred: np.ndarray, target: np.ndarray, kind: str
+                ) -> tuple[float, tuple]:
+    """(loss value, the intermediates its gradient reuses) on raw
+    arrays — the one copy of the array-mode loss arithmetic.
 
-    Replays the exact op chain (and backward accumulation order) of the
-    taped loss above, so both outputs are bitwise identical to
-    ``loss.item()`` / the tape's gradient into ``pred``.
+    Replays the exact op chain of the taped loss above, so the value
+    is bitwise identical to ``loss.item()``.
     """
     target = np.asarray(target, dtype=np.float64)
     factor = 1.0 / pred.size
@@ -64,19 +64,40 @@ def _loss_and_grad_arrays(pred: np.ndarray, target: np.ndarray,
         reference = np.log1p(target) if kind == "msle" else target
         diff = pred - reference
         loss = (diff * diff).sum() * factor
-        # (d*d) routes the mean gradient to d through both operands.
-        half = factor * diff
-        return float(loss), half + half
+        return float(loss), (factor, diff)
     if kind == "bce":
         relu_x = pred * (pred > 0.0)
         abs_x = np.abs(pred)
         exp_term = np.exp(np.clip(-abs_x, -60.0, 60.0))
         softplus = np.log(exp_term + 1.0)
         loss = (relu_x - pred * target + softplus).sum() * factor
+        return float(loss), (factor, target, exp_term)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _loss_arrays(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
+    """The loss value alone — validation needs no gradient."""
+    return _loss_terms(pred, target, kind)[0]
+
+
+def _loss_and_grad_arrays(pred: np.ndarray, target: np.ndarray,
+                          kind: str) -> tuple[float, np.ndarray]:
+    """(loss value, d loss / d pred) on raw arrays.
+
+    The gradient replays the tape's backward accumulation order, so
+    both outputs are bitwise identical to ``loss.item()`` / the tape's
+    gradient into ``pred``.
+    """
+    loss, terms = _loss_terms(pred, target, kind)
+    if kind == "bce":
+        factor, target, exp_term = terms
         # Contributions in the tape's accumulation order: the relu
         # mask, the product term, then the softplus chain.
         grad = np.array(factor * (pred > 0.0))
         grad += -factor * target
         grad += -(factor / (exp_term + 1.0) * exp_term) * np.sign(pred)
-        return float(loss), grad
-    raise ValueError(f"unknown loss kind {kind!r}")
+        return loss, grad
+    factor, diff = terms
+    # (d*d) routes the mean gradient to d through both operands.
+    half = factor * diff
+    return loss, half + half

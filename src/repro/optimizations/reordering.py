@@ -123,18 +123,16 @@ class ReorderingDecision:
 class ReorderingOptimizer:
     """Jointly optimizes filter order and operator placement.
 
-    The fast path scores every rewrite's candidates *jointly*: hosts
-    are featurized once per cluster, each rewrite's candidates are
-    collated directly into batches (no per-ordering
-    :class:`~repro.core.graph.QueryGraph` objects), the batches fuse
-    into ONE mega-batch
-    (:meth:`~repro.core.costream.Costream.merged_inference_batches`),
-    and each cost metric is predicted in ONE batched-GEMM forward over
-    it — so the `3 metrics x K members` ensemble machinery (weight-
-    stack lookups, stage scheduling) runs once per decision instead of
-    once per ordering.  Per-rewrite chunk boundaries are preserved as
-    readout segments, so predictions — and therefore the chosen
-    (plan, placement) pair — are identical to the per-rewrite
+    The fast path featurizes the hosts once per cluster and collates
+    each rewrite's candidates directly into batches (no per-ordering
+    :class:`~repro.core.graph.QueryGraph` objects).  Each candidate
+    batch is scored on its own distinct rows
+    (:meth:`~repro.core.graph.GraphBatch.compact_prefix`); batches are
+    not fused
+    (:meth:`~repro.core.costream.Costream.merged_inference_batches`
+    returns them unchanged), since a fused batch ran slower than the
+    rewrites scored one by one.  Predictions — and therefore the
+    chosen (plan, placement) pair — are identical to the per-rewrite
     graph-object path retained as :meth:`optimize_reference`
     (equivalence is tested).
     """
@@ -217,9 +215,8 @@ class ReorderingOptimizer:
             batches.extend(self.model.collate_placements(
                 rewrite, cands, cluster, selectivities,
                 host_features=host_features))
-        # Mega-batch: all rewrites' candidates fuse into one batch, so
-        # each metric runs ONE batched-GEMM forward for the whole
-        # decision (bitwise identical — per-chunk readout segments).
+        # Batches come back unfused: each candidate batch is scored on
+        # its own distinct rows.
         batches = self.model.merged_inference_batches(batches)
         objective_values, feasible = \
             self._placement_optimizer.score(batches)

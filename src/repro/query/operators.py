@@ -11,6 +11,7 @@ model only ever sees an *estimated* selectivity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -47,10 +48,12 @@ class Window:
             raise ValueError(f"bad window type {self.window_type!r}")
         if self.policy not in ("count", "time"):
             raise ValueError(f"bad window policy {self.policy!r}")
-        if self.size <= 0:
-            raise ValueError("window size must be positive")
-        if self.slide <= 0:
-            raise ValueError("window slide must be positive")
+        if not (math.isfinite(self.size) and self.size > 0):
+            raise ValueError(f"window size must be finite and positive, "
+                             f"got {self.size!r}")
+        if not (math.isfinite(self.slide) and self.slide > 0):
+            raise ValueError(f"window slide must be finite and positive, "
+                             f"got {self.slide!r}")
         if self.window_type == "tumbling" and self.slide != self.size:
             raise ValueError("tumbling windows require slide == size")
         if self.slide > self.size:
@@ -104,8 +107,9 @@ class Source(Operator):
     schema: TupleSchema
 
     def __post_init__(self):
-        if self.event_rate <= 0:
-            raise ValueError("source event rate must be positive")
+        if not (math.isfinite(self.event_rate) and self.event_rate > 0):
+            raise ValueError(f"source event rate must be finite and "
+                             f"positive, got {self.event_rate!r}")
 
     @property
     def kind(self) -> OperatorKind:

@@ -4,11 +4,10 @@ The product operation (paper Section V) is one placement decision;
 this package serves *streams* of independent decisions:
 
 * :class:`DecisionBatcher` — accepts a wave of ``(plan, cluster)``
-  requests, featurizes every plan and cluster once, fuses all
-  requests' candidate batches into one mega-batch per wave
-  (:func:`repro.core.graph.merge_batches`), runs ONE batched-GEMM
-  ensemble forward per metric for the whole wave, and scatters
-  per-request argmins back out — bitwise identical to sequential
+  requests, featurizes every plan and cluster once, scores each
+  request's candidate batches on their distinct rows (batches are
+  not fused across requests) and picks per-request
+  argmins — bitwise identical to sequential
   :meth:`repro.placement.PlacementOptimizer.optimize` calls in
   float64.  Every wave runs in-process.
 * :class:`ServingLoop` — the front door: each request is decided as

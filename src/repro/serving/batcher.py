@@ -1,14 +1,14 @@
-"""Mega-batched placement serving: many decisions, one ensemble pass.
+"""Placement serving: waves of independent decisions.
 
-A single :meth:`repro.placement.PlacementOptimizer.optimize` call pays
-featurization, collation and the `3 metrics x K members` ensemble
-dispatch for its ~30 candidates.  Streams of independent decisions
-(experiment sweeps, deployment traffic) used to pay that per decision;
-:class:`DecisionBatcher` pays it once per *wave*: every request's
-candidate batch is fused into one mega-batch
-(:func:`repro.core.graph.merge_batches`), each cost metric runs ONE
-batched-GEMM :class:`~repro.core.model.MemberStack` forward over the
-whole wave, and per-request argmins are scattered back out.
+:class:`DecisionBatcher` serves a *wave* of ``(plan, cluster)``
+requests with the sequential decision's steps: enumerate each
+request's candidates, collate them (clusters shared across requests
+featurize their hosts once per wave), score every request's candidate
+batches on their distinct rows
+(:meth:`repro.core.graph.GraphBatch.compact_prefix`) and pick each
+request's argmin.  Batches are not fused across requests: a fused
+wave ran slower than deciding its requests one by one
+(PERFORMANCE.md §8 and §18).
 
 Guarantees (see PERFORMANCE.md):
 
@@ -18,9 +18,6 @@ Guarantees (see PERFORMANCE.md):
 * under :class:`repro.nn.float32_inference` the whole wave runs
   float32 end-to-end (featurization, collation, GEMMs) within the
   documented decision-level tolerance;
-* configurations the mega-batch cannot serve exactly (legacy kernels,
-  the ``traditional`` scheme, single-graph candidate batches) fall
-  back to per-request scoring with identical results;
 * pre-enumerated candidates are checked against their request's plan
   and cluster before any of them is scored.
 """
@@ -87,7 +84,8 @@ class DecisionBatcher:
     def decide(self, requests: Iterable[DecisionRequest]
                ) -> list[PlacementDecision]:
         """Serve one wave of decisions (order matches the requests):
-        one mega-batch, one pass per metric."""
+        each request's candidates are scored on their own batches,
+        exactly as :meth:`PlacementOptimizer.optimize` scores them."""
         requests = list(requests)
         if not requests:
             return []
@@ -115,10 +113,11 @@ class DecisionBatcher:
 
         Collates each request's candidates (plan and hosts featurized
         once per request — clusters shared across requests featurize
-        once per wave), fuses everything into one mega-batch when the
-        model supports it, and runs each metric ensemble exactly once.
-        ``bounds[i]:bounds[i+1]`` is request ``i``'s slice of the flat
-        arrays.
+        once per wave) and scores the batches through
+        :meth:`~repro.core.costream.Costream.merged_inference_batches`,
+        which leaves them unfused: each candidate batch is scored on
+        its own distinct rows.  ``bounds[i]:bounds[i+1]`` is request
+        ``i``'s slice of the flat arrays.
         """
         model = self.model
         host_cache: dict[tuple, dict[str, np.ndarray]] = {}

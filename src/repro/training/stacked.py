@@ -129,10 +129,11 @@ class StackedTrainer:
         Without a ``schedule`` the split and shuffles come from
         ``BatchSchedule(members[0].seed)``.  Malformed inputs — an
         empty training set, label and graph counts that disagree,
-        ``val_graphs`` without ``val_labels`` (or the reverse), a
-        non-finite label, a negative ``msle`` label or a ``bce`` label
-        outside [0, 1] — raise ``ValueError`` before any draw or
-        collation.
+        ``val_graphs`` without ``val_labels`` (or the reverse), fewer
+        than 2 graphs without a validation set (the holdout would leave
+        nothing to train on), a non-finite label, a negative ``msle``
+        label or a ``bce`` label outside [0, 1] — raise ``ValueError``
+        before any draw or collation.
 
         ``checkpoint_path`` / ``checkpoint_every`` / ``resume`` /
         ``on_epoch_end``: epoch-granular, atomically written crash
@@ -154,6 +155,13 @@ class StackedTrainer:
         if (val_graphs is None) != (val_labels is None):
             raise ValueError(
                 "val_graphs and val_labels must be given together")
+        if val_graphs is None and holdout_size(
+                len(graphs), config.val_fraction) >= len(graphs):
+            # The holdout would take every graph and train on none.
+            raise ValueError(
+                f"a fit without a validation set needs at least 2 "
+                f"graphs (and val_fraction < 1); got {len(graphs)} "
+                f"graph(s) with val_fraction={config.val_fraction}")
         loss_kind = resolve_loss_kind(config, members[0].is_regression)
         labels = _checked_labels(labels, len(graphs), loss_kind,
                                  "training")

@@ -210,6 +210,9 @@ _BAD_INPUTS = {
     "val-nan": ("throughput",
                 lambda g, y: (g, y, g[:10], _corrupt(y[:10], 1, np.nan)),
                 "validation label 1 is not finite"),
+    # The holdout would take the only graph and train on nothing.
+    "one-graph": ("throughput", lambda g, y: (g[:1], y[:1]),
+                  "at least 2 graphs"),
 }
 
 

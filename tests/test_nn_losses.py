@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, bce_with_logits_loss, mse_loss, msle_loss
+from repro.nn.losses import _loss_and_grad_arrays, _loss_arrays
 
 
 class TestMSLE:
@@ -87,3 +88,27 @@ def test_bce_is_nonnegative(logit_values, label_values):
         Tensor(np.asarray(logit_values[:n], dtype=np.float64)),
         np.asarray(label_values[:n], dtype=np.float64))
     assert loss.item() >= -1e-12
+
+
+_TAPED = {"msle": msle_loss, "mse": mse_loss, "bce": bce_with_logits_loss}
+
+
+@pytest.mark.parametrize("kind", ["msle", "mse", "bce"])
+def test_loss_only_equals_loss_and_grad_value(kind):
+    """Validation's loss-only kernel is bitwise the value half of the
+    training kernel, and both replay the taped loss (value and
+    gradient) bit for bit."""
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 64):
+        pred = rng.normal(scale=3.0, size=n)
+        target = (rng.integers(0, 2, size=n).astype(np.float64)
+                  if kind == "bce" else rng.exponential(50.0, size=n))
+        loss, grad = _loss_and_grad_arrays(pred, target, kind)
+        assert _loss_arrays(pred, target, kind) == loss
+        taped_pred = Tensor(pred.copy(), requires_grad=True)
+        taped = _TAPED[kind](taped_pred, target)
+        taped.backward()
+        assert taped.item() == loss
+        np.testing.assert_array_equal(taped_pred.grad, grad)
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        _loss_arrays(np.zeros(2), np.zeros(2), "hinge")

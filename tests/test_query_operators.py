@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,10 +89,34 @@ class TestWindow:
         assert window.first_fire_seconds(0.0) == float("inf")
 
 
+# field -> (constructor given the value, message naming the field)
+_NON_FINITE = {
+    "event_rate": (lambda v: Source("s", v, TupleSchema.of("int")),
+                   "event rate"),
+    "size": (lambda v: Window("sliding", "count", v, 5.0),
+             "window size"),
+    # An infinite slide passes the slide <= size rule only with an
+    # infinite size, so that case is rejected for its size first.
+    "slide": (lambda v: (Window("sliding", "count", 10.0, v)
+                         if math.isnan(v)
+                         else Window.tumbling("time", v)),
+              "window (size|slide)"),
+}
+
+
 class TestOperators:
     def test_source_requires_positive_rate(self):
         with pytest.raises(ValueError):
             Source("s", 0.0, TupleSchema.of("int"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", list(_NON_FINITE))
+    def test_non_finite_parameters_rejected(self, field, value):
+        build, message = _NON_FINITE[field]
+        with pytest.raises(ValueError,
+                           match=f"{message} must be finite"):
+            build(value)
 
     def test_filter_selectivity_bounds(self):
         with pytest.raises(ValueError):

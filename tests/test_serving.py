@@ -1,4 +1,4 @@
-"""Cross-decision serving: mega-batching, float32 end-to-end, the loop.
+"""Cross-decision serving: waves, float32 end-to-end, the loop.
 
 The throughput engine's contract (PERFORMANCE.md):
 
@@ -7,7 +7,8 @@ The throughput engine's contract (PERFORMANCE.md):
   per-candidate objectives, feasibility counts;
 * :func:`repro.core.graph.merge_batches` produces exactly the batch a
   joint collation would (staged fields), and merged predictions equal
-  per-batch predictions bit for bit;
+  per-batch predictions bit for bit (candidate batches score on their
+  compact rows and are not fused by serving);
 * under :class:`repro.nn.float32_inference` featurization/collation
   are float32 end-to-end, bitwise equal to the old cast-at-forward
   path and within the documented decision-level tolerance of float64;
@@ -197,15 +198,19 @@ class TestMergeBatches:
 
     def test_merged_predictions_bitwise(self):
         """Candidate batches of different plans (the serving shape):
-        merged predictions equal per-batch predictions bit for bit."""
+        the fused mega-batch, which runs the full path, predicts bit
+        for bit what each batch predicts on its own compact rows.
+        Serving never fuses batches; the merge is called
+        directly."""
         model = _model()
         chunks = []
         for request in _requests(4, seed=41):
             candidates = DecisionBatcher(model)._candidates_for(request)
             chunks.extend(model.collate_placements(
                 request.plan, candidates, request.cluster))
-        merged = model.merged_inference_batches(chunks)
-        assert len(merged) == 1
+        assert all(chunk.candidates is not None for chunk in chunks)
+        merged = [merge_batches(chunks)]
+        assert merged[0].candidates is None
         for metric in _METRICS:
             separate = np.concatenate(
                 [model.predict_metric(metric, [chunk])
