@@ -45,9 +45,6 @@ def test_perf_hotpaths(benchmark, context, report, tmp_path):
         {"path": "placement_decision",
          "speedup": results["placement_decision"]["speedup"],
          "fast": f"{1e3 * results['placement_decision']['fast_s_per_decision']:.1f} ms"},
-        {"path": "decision_throughput",
-         "speedup": results["decision_throughput"]["speedup"],
-         "fast": f"{results['decision_throughput']['decisions_per_s_batched']:,.0f} dec/s"},
         {"path": "epoch",
          "speedup": results["epoch"]["speedup"],
          "fast": f"{results['epoch']['fast_s_per_epoch']:.2f} s"},

@@ -67,9 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"decision:  {decision['speedup']:6.1f}x "
           f"({1e3 * decision['fast_s_per_decision']:.1f} ms/decision, "
           f"{decision['n_candidates']} candidates)")
-    print(f"throughput:{throughput['speedup']:6.2f}x wave vs sequential "
-          f"({throughput['decisions_per_s_batched']:,.0f} decisions/s, "
-          f"wave of {throughput['n_requests']}, "
+    print(f"throughput:{throughput['decisions_per_s_sequential']:,.0f} "
+          f"decisions/s ({throughput['n_requests']} requests, "
+          f"wave decisions agree: {throughput['decisions_agree']}, "
           f"f32 {throughput['float32_speedup']:.2f}x)")
     if "service" in throughput:
         service = throughput["service"]

@@ -21,7 +21,9 @@ baseline and **fails (exit 1)** when
   (1.0 means parity with the per-member loop),
 * a decision wave's objectives drift from sequential ``optimize``
   calls (``decision_throughput``: the float64 delta must stay within
-  ``--tolerance`` and every decision must agree),
+  ``--tolerance`` and every decision must agree; the wave decides each
+  request through the sequential path, so the entry records no
+  wave-vs-sequential timing),
 * the index-native candidate collation regresses below
   ``--candidate-collation-floor`` against the retained per-candidate
   reference loop, its batches stop matching the reference field for
@@ -46,10 +48,6 @@ baseline and **fails (exit 1)** when
 * float32 inference drifts beyond the tolerance recorded in the
   benchmark itself (``float32_tolerance`` of ``ensemble_batched`` /
   ``decision_throughput``), or a float32 wave flips a decision.
-
-``decision_throughput.speedup`` (wave vs sequential decisions) is
-recorded but not gated: candidate batches are no longer fused, so a
-wave and sequential calls score the same per-request batches.
 
 The baseline is used for drift *reporting*: every metric is printed as
 ``fresh vs baseline`` so a regression that still clears the floor is

@@ -14,8 +14,9 @@ Public API tour::
     cluster = sample_cluster(np.random.default_rng(2), 6)
     decision = PlacementOptimizer(model).optimize(plan, cluster)
 
-    # Streams of decisions: serve a whole wave in one ensemble pass
-    # (bitwise identical to sequential optimize calls — PERFORMANCE.md)
+    # Streams of decisions: serve a wave of requests, each decided
+    # bitwise identically to its sequential optimize call
+    # (PERFORMANCE.md)
     from repro import DecisionBatcher, DecisionRequest
     decisions = DecisionBatcher(model).decide(
         [DecisionRequest(plan=p, cluster=c, seed=i)

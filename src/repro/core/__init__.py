@@ -8,7 +8,7 @@ from .graph import (GraphBatch, HostFeatures, PlanFeatures, QueryGraph,
                     as_batches, batches_equal, build_graph, collate,
                     collate_candidates, collate_candidates_reference,
                     collate_chunks, collate_reference, featurize_hosts,
-                    featurize_plan, mega_mergeable, merge_batches)
+                    featurize_plan)
 from .metrics import (balance_classes, classification_accuracy, q_error,
                       q_error_percentiles)
 from .model import (CostreamGNN, MemberStack, MESSAGE_SCHEMES,
@@ -23,7 +23,6 @@ __all__ = [
     "collate_candidates_reference", "collate_chunks",
     "collate_reference", "HostFeatures", "batches_equal",
     "as_batches", "PlanFeatures", "featurize_plan", "featurize_hosts",
-    "mega_mergeable", "merge_batches",
     "balance_classes", "classification_accuracy",
     "q_error", "q_error_percentiles", "CostreamGNN", "MemberStack",
     "TrainableMemberStack", "MESSAGE_SCHEMES",

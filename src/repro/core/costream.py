@@ -136,8 +136,9 @@ class Costream:
 
         ``host_features`` optionally passes pre-featurized hosts
         (:func:`repro.core.graph.featurize_hosts`) so callers scoring
-        many *plans* on one cluster — the reordering optimizer —
-        featurize the hosts once overall instead of once per plan.
+        many *plans* on one cluster — the reordering optimizer and
+        serving waves — featurize the hosts once overall instead of
+        once per plan.
         """
         batch_size = self.config.batch_size
         n_ops = len(plan)
@@ -169,17 +170,14 @@ class Costream:
 
     def merged_inference_batches(self, batches: list[GraphBatch]
                                  ) -> list[GraphBatch]:
-        """The batches a decision wave scores: ``batches``, unfused.
+        """Return ``batches`` unchanged.
 
-        Candidate batches (``batch.candidates`` set) are each scored on
-        their own distinct rows
-        (:meth:`repro.core.graph.GraphBatch.compact_prefix`), which a
-        fused mega-batch would lose, and even on the full path a fused
-        wave ran slower than its requests scored one by one
-        (PERFORMANCE.md §8, §18).  The serving batcher and the
-        reordering optimizer score what this returns;
-        :func:`repro.core.graph.merge_batches` remains the fusing
-        primitive.
+        Nothing in the package calls this: every decision scores its
+        own candidate batches, and the batch-fusion code it once
+        dispatched to is deleted.  The repository benchmark
+        (``perfbench/tracing.py``) wraps it by name as its
+        ``core.graph.merge`` layer, so it stays until that benchmark
+        drops the wrap (ROADMAP item 1a), which deletes both.
         """
         return batches
 

@@ -32,11 +32,6 @@ Fast-path machinery (see PERFORMANCE.md):
   stay int64), so the batched-GEMM inference stack never pays a
   per-batch cast; outside the context everything stays float64 and is
   bitwise identical to the pre-float32 code.
-* :func:`merge_batches` fuses several pre-collated batches into one
-  mega-batch, recording the original per-batch graph counts as
-  ``readout_segments`` so the readout GEMMs keep their original shapes
-  and per-graph outputs stay bitwise identical to scoring each batch
-  separately.  Candidate batches are never fused (see below).
 * :func:`collate_candidates` batches carry their candidate structure
   (:class:`CandidateLayout`): all candidates place one plan on one
   cluster, so every operator row repeats in every candidate and every
@@ -69,8 +64,7 @@ __all__ = ["QueryGraph", "GraphBatch", "StageSlice", "PlanFeatures",
            "build_graph", "featurize_plan",
            "featurize_hosts", "collate", "collate_candidates",
            "collate_candidates_reference", "collate_reference",
-           "collate_chunks", "as_batches", "batches_equal",
-           "mega_mergeable", "merge_batches"]
+           "collate_chunks", "as_batches", "batches_equal"]
 
 _TYPE_CODE = {node_type: code for code, node_type in enumerate(NODE_TYPES)}
 
@@ -320,14 +314,6 @@ class GraphBatch:
     hw_to_ops: dict[str, StageSlice]           # stage 2, keyed op type
     flow_levels: list[dict[str, StageSlice]]   # stage 3, one per depth
     neighbor_rounds: dict[str, StageSlice]     # traditional-MP ablation
-    #: Per-source-batch graph counts when this batch was produced by
-    #: :func:`merge_batches` (``None`` for directly collated batches).
-    #: Inference readouts run one GEMM per segment so each graph's
-    #: output keeps the exact arithmetic of its original batch — the
-    #: final ``(n, hidden) @ (hidden, 1)`` GEMM is the one kernel whose
-    #: per-row results depend on the row count, so merged batches must
-    #: replay the original readout shapes to stay bitwise identical.
-    readout_segments: np.ndarray | None = None
     #: Set on :func:`collate_candidates` batches (``None`` otherwise):
     #: the member stack then runs the encoders and both placement
     #: stages on the distinct rows (:meth:`compact_prefix`).  Every
@@ -945,149 +931,7 @@ def batches_equal(a: GraphBatch, b: GraphBatch) -> bool:
         and len(a.flow_levels) == len(b.flow_levels)
         and all(_stage_dicts_equal(x, y)
                 for x, y in zip(a.flow_levels, b.flow_levels))
-        and _stage_dicts_equal(a.neighbor_rounds, b.neighbor_rounds)
-        and (a.readout_segments is None) == (b.readout_segments is None)
-        and (a.readout_segments is None
-             or np.array_equal(a.readout_segments, b.readout_segments)))
-
-
-# ----------------------------------------------------------------------
-# Mega-batching (cross-decision serving path)
-# ----------------------------------------------------------------------
-def _merge_stage_dicts(stage_dicts: list[dict[str, StageSlice]],
-                       node_offsets: np.ndarray) -> dict[str, StageSlice]:
-    """Merge per-batch stage dicts with node-id and segment offsets.
-
-    Receiver rows (sorted within each batch) stay globally sorted
-    because node offsets increase with batch index, so the merged
-    slices are exactly what a joint collation would have produced.
-    """
-    merged: dict[str, StageSlice] = {}
-    for node_type in NODE_TYPES:
-        recv_parts: list[np.ndarray] = []
-        src_parts: list[np.ndarray] = []
-        seg_parts: list[np.ndarray] = []
-        recv_total = 0
-        for slices, offset in zip(stage_dicts, node_offsets):
-            stage = slices.get(node_type)
-            if stage is None:
-                continue
-            recv_parts.append(stage.recv_rows + offset)
-            src_parts.append(stage.edge_src + offset)
-            seg_parts.append(stage.edge_seg + recv_total)
-            recv_total += stage.recv_rows.size
-        if not recv_parts:
-            continue
-        merged[node_type] = StageSlice(
-            recv_rows=np.concatenate(recv_parts),
-            edge_src=np.concatenate(src_parts),
-            edge_seg=np.concatenate(seg_parts))
-    return merged
-
-
-def mega_mergeable(batch: GraphBatch) -> bool:
-    """Whether merging this batch into a mega-batch stays bitwise exact.
-
-    Merging changes the row count of every encoder and combiner GEMM;
-    those are row-invariant for >= 2 rows, but a single-row matmul
-    dispatches to a different BLAS kernel whose result can differ at
-    the last ulp.  A batch is safe to merge when every per-type feature
-    matrix and every staged-stage receiver slice has at least 2 rows —
-    candidate batches (>= 2 placements of one plan) always do.  The
-    readout GEMMs are exempt: merged batches replay them per source
-    segment at the original shapes.
-    """
-    for features in batch.type_features.values():
-        if features.shape[0] < 2:
-            return False
-    for slices in (batch.ops_to_hw, batch.hw_to_ops,
-                   *batch.flow_levels):
-        for stage in slices.values():
-            if 0 < stage.recv_rows.size < 2:
-                return False
-    return True
-
-
-def merge_batches(batches: Sequence[GraphBatch]) -> GraphBatch:
-    """Fuse pre-collated batches into one mega-batch (pure arrays).
-
-    Many independent batches (heterogeneous plans included) merge into
-    one disjoint union, so every message-passing stage and GEMM of an
-    inference forward runs once per merged batch instead of once per
-    batch.  The result carries no candidate layout, so it always takes
-    the member stack's full path; serving no longer fuses batches
-    (``Costream.merged_inference_batches`` returns its input).
-    The staged fields are field-for-field what collating all source
-    graphs jointly would produce; ``neighbor_rounds`` edges are grouped
-    per source batch (same receivers and edge multisets, so the
-    ``traditional`` scheme sums the same messages in a different
-    order — callers needing its exact accumulation order score batches
-    separately).
-
-    The input batches' graph counts are recorded as
-    ``readout_segments``: inference readouts replay the original
-    per-batch GEMM shapes, which keeps merged float64 predictions
-    **bitwise identical** to scoring each batch on its own, provided
-    every source batch holds at least 2 graphs (single-row GEMMs
-    dispatch to a different BLAS kernel — callers route single-graph
-    batches around the merge; see
-    ``Costream.merged_inference_batches``).
-    """
-    batches = list(batches)
-    if not batches:
-        raise ValueError("cannot merge an empty list of batches")
-    if len(batches) == 1:
-        return batches[0]
-    node_offsets = np.concatenate(
-        [[0], np.cumsum([b.n_nodes for b in batches])])
-    graph_offsets = np.concatenate(
-        [[0], np.cumsum([b.n_graphs for b in batches])])
-    graph_id = np.concatenate([b.graph_id + graph_offsets[i]
-                               for i, b in enumerate(batches)])
-
-    type_rows: dict[str, np.ndarray] = {}
-    type_features: dict[str, np.ndarray] = {}
-    for node_type in NODE_TYPES:
-        row_parts = []
-        feature_parts = []
-        for i, batch in enumerate(batches):
-            rows = batch.type_rows.get(node_type)
-            if rows is not None:
-                row_parts.append(rows + node_offsets[i])
-                feature_parts.append(batch.type_features[node_type])
-        if not row_parts:
-            continue
-        type_rows[node_type] = np.concatenate(row_parts)
-        type_features[node_type] = np.concatenate(feature_parts, axis=0)
-
-    offsets = node_offsets[:-1]
-    ops_to_hw = _merge_stage_dicts([b.ops_to_hw for b in batches],
-                                   offsets)
-    hw_to_ops = _merge_stage_dicts([b.hw_to_ops for b in batches],
-                                   offsets)
-    n_levels = max(len(b.flow_levels) for b in batches)
-    flow_levels = []
-    for level in range(n_levels):
-        contributors = [(b.flow_levels[level], offsets[i])
-                        for i, b in enumerate(batches)
-                        if level < len(b.flow_levels)]
-        flow_levels.append(_merge_stage_dicts(
-            [slices for slices, _ in contributors],
-            np.asarray([offset for _, offset in contributors])))
-    neighbor_rounds = _merge_stage_dicts(
-        [b.neighbor_rounds for b in batches], offsets)
-    readout_segments = np.concatenate(
-        [b.readout_segments if b.readout_segments is not None
-         else np.asarray([b.n_graphs], dtype=np.int64)
-         for b in batches])
-
-    return GraphBatch(n_nodes=int(node_offsets[-1]),
-                      n_graphs=int(graph_offsets[-1]),
-                      graph_id=graph_id, type_rows=type_rows,
-                      type_features=type_features, ops_to_hw=ops_to_hw,
-                      hw_to_ops=hw_to_ops, flow_levels=flow_levels,
-                      neighbor_rounds=neighbor_rounds,
-                      readout_segments=readout_segments)
+        and _stage_dicts_equal(a.neighbor_rounds, b.neighbor_rounds))
 
 
 # ----------------------------------------------------------------------

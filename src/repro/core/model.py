@@ -37,31 +37,6 @@ __all__ = ["CostreamGNN", "MemberStack", "TrainableMemberStack",
 MESSAGE_SCHEMES = ("staged", "traditional")
 
 
-def _segmented_readout(readout, pooled: np.ndarray,
-                       segments: np.ndarray | None) -> np.ndarray:
-    """Readout MLP over ``(K, n_graphs, hidden)`` pooled member states,
-    one GEMM per merged segment.
-
-    For directly collated batches (``segments is None``) this is one
-    readout call.  For batches produced by
-    :func:`repro.core.graph.merge_batches` it replays the readout with
-    each source batch's original row count: the final ``(n, hidden) @
-    (hidden, 1)`` GEMM is the one kernel whose per-row results depend
-    on ``n`` (BLAS switches kernels with the row count), so the merged
-    forward would otherwise drift from per-batch scoring at the last
-    ulp.
-    """
-    if segments is None:
-        return np.squeeze(readout.forward_array(pooled), axis=-1)
-    outputs = []
-    start = 0
-    for count in segments:
-        outputs.append(readout.forward_array(
-            pooled[:, start:start + int(count)]))
-        start += int(count)
-    return np.squeeze(np.concatenate(outputs, axis=1), axis=-1)
-
-
 class CostreamGNN(Module):
     """One cost-metric head over the joint operator-resource graph.
 
@@ -268,8 +243,7 @@ class MemberStack:
         pooled = self._aggregate(
             batch.member_flat_graph_id(hidden_dim, size),
             hidden.reshape(size, n_nodes, hidden_dim), batch.n_graphs)
-        return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments)
+        return np.squeeze(self.readout.forward_array(pooled), axis=-1)
 
     def _compact_hidden(self, batch: GraphBatch,
                         features: dict[str, np.ndarray]) -> np.ndarray:

@@ -367,16 +367,14 @@ def _throughput_requests(scale: ExperimentScale,
 
 def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
                                n_requests: int) -> dict:
-    """Cross-decision serving: one :class:`DecisionBatcher` wave vs
-    sequential ``optimize`` calls over the same mixed-plan decision
-    stream.
+    """Cross-decision serving over one mixed-plan decision stream:
+    :class:`DecisionBatcher` waves and the serving loop against
+    sequential ``optimize`` calls.
 
-    Both sides run the shipped fast path end to end (enumerate,
-    featurize, collate, predict 3 metrics, rank).  Candidate batches
-    are not fused, so both score the same per-request batches on their
-    compact rows; ``speedup`` is recorded, not gated.  float64 wave
-    decisions must be bitwise identical to the sequential path; the
-    float32 end-to-end wave must stay within
+    A wave decides each request through the same per-request path as
+    ``optimize`` (enumerate, featurize, collate, predict 3 metrics,
+    rank), so float64 wave decisions must be bitwise identical to the
+    sequential ones; the float32 end-to-end path must stay within
     :data:`FLOAT32_TOLERANCE` at the *decision* level and never flip a
     chosen placement.
     """
@@ -384,6 +382,8 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
     optimizer = PlacementOptimizer(model, objective="processing_latency")
     batcher = DecisionBatcher(model, objective="processing_latency")
     requests = _throughput_requests(scale, n_requests)
+    candidates = [batcher._candidates_for(request)
+                  for request in requests]
 
     def run_sequential():
         return [optimizer.optimize(request.plan, request.cluster,
@@ -391,12 +391,17 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
                                    seed=request.seed)
                 for request in requests]
 
+    def score_requests() -> tuple[np.ndarray, np.ndarray]:
+        """Every request's (objective values, feasibility), joined."""
+        scores = [optimizer.score(model.collate_placements(
+                      request.plan, cands, request.cluster))
+                  for request, cands in zip(requests, candidates)]
+        return (np.concatenate([values for values, _ in scores]),
+                np.concatenate([feasible for _, feasible in scores]))
+
     # Decision-level equivalence: per-candidate objectives, feasibility
     # masks and chosen placements of the wave vs the sequential path.
-    candidates = [batcher._candidates_for(request)
-                  for request in requests]
-    wave_values, wave_feasible, _ = batcher.score_wave(requests,
-                                                       candidates)
+    values, feasible = score_requests()
     sequential_parts = [
         _fast_decision(model, request.plan, request.cluster,
                        request.n_candidates, "processing_latency",
@@ -404,13 +409,13 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
         for request in requests]
     seq_values = np.concatenate([objective
                                  for _, objective, _ in sequential_parts])
-    seq_feasible = np.concatenate([feasible
-                                   for _, _, feasible in sequential_parts])
-    float64_delta = float(np.max(np.abs(wave_values - seq_values)))
+    seq_feasible = np.concatenate([mask
+                                   for _, _, mask in sequential_parts])
+    float64_delta = float(np.max(np.abs(values - seq_values)))
     batched_decisions = batcher.decide(requests)
     sequential_decisions = run_sequential()
     decisions_agree = bool(
-        np.array_equal(wave_feasible, seq_feasible)
+        np.array_equal(feasible, seq_feasible)
         and all(batched.placement == sequential.placement
                 and batched.predicted_objective
                 == sequential.predicted_objective
@@ -422,30 +427,24 @@ def _bench_decision_throughput(scale: ExperimentScale, repeats: int,
     with float32_inference():
         batcher.decide(requests)  # warm float32 stacks, off-clock
         float32_s = _best_of(lambda: batcher.decide(requests), repeats)
-        float32_values, _, _ = batcher.score_wave(requests, candidates)
+        float32_values, _ = score_requests()
         float32_decisions = batcher.decide(requests)
     float32_delta = float(np.max(
-        np.abs(float32_values - wave_values)
-        / (np.abs(wave_values) + 1e-9)))
+        np.abs(float32_values - values) / (np.abs(values) + 1e-9)))
     float32_agree = all(
         float32.placement == batched.placement
         for float32, batched in zip(float32_decisions, batched_decisions))
 
-    batcher.decide(requests)  # warm-up outside the clock
-    batched_s, sequential_s = _interleaved(
-        lambda: batcher.decide(requests), run_sequential, repeats)
+    sequential_s = _best_of(run_sequential, repeats)
 
     result = {
         "n_requests": n_requests,
         "n_candidates": scale.n_candidates,
         "ensemble_size": scale.ensemble_size,
         "metrics_per_decision": len(_DECISION_METRICS),
-        "batched_s_per_decision": batched_s / n_requests,
         "sequential_s_per_decision": sequential_s / n_requests,
-        "decisions_per_s_batched": n_requests / max(batched_s, 1e-12),
         "decisions_per_s_sequential": n_requests / max(sequential_s,
                                                        1e-12),
-        "speedup": sequential_s / max(batched_s, 1e-12),
         "float64_max_abs_delta": float64_delta,
         "decisions_agree": decisions_agree,
         "float32_s_per_decision": float32_s / n_requests,
@@ -903,9 +902,8 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
                          and float32_ok),
         },
         # The floors the nightly gate enforces at small scale.  The
-        # decision wave has none: its candidate batches are not fused,
-        # so it scores the same per-request batches as sequential
-        # calls (PERFORMANCE.md section 18).
+        # decision wave has none: it decides each request through the
+        # sequential path.
         "targets": {
             "placement_decision_speedup": 5.0,
             "epoch_speedup": 2.0,

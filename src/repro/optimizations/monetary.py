@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 from ..hardware.cluster import Cluster
 from ..hardware.placement import Placement
 from ..placement.enumeration import HeuristicPlacementEnumerator
+from ..placement.optimizer import PlacementOptimizer
 from ..query.operators import OperatorKind, with_selectivity
 from ..query.plan import QueryPlan
 
@@ -113,6 +114,8 @@ class BudgetedPlacementOptimizer:
         self.model = model
         self.estimator = estimator or MonetaryCostEstimator()
         self.latency_budget_ms = latency_budget_ms
+        self._latency_optimizer = PlacementOptimizer(model,
+                                                     "processing_latency")
 
     def optimize(self, plan: QueryPlan, cluster: Cluster,
                  n_candidates: int = 30,
@@ -124,14 +127,7 @@ class BudgetedPlacementOptimizer:
         # metric predictions (see PERFORMANCE.md).
         batches = self.model.collate_placements(plan, candidates, cluster,
                                                 selectivities)
-        latency = self.model.predict_metric("processing_latency", batches)
-        feasible = np.ones(len(candidates), dtype=bool)
-        if "success" in self.model.metrics:
-            feasible &= self.model.predict_metric("success",
-                                                  batches) >= 0.5
-        if "backpressure" in self.model.metrics:
-            feasible &= self.model.predict_metric("backpressure",
-                                                  batches) < 0.5
+        latency, feasible = self._latency_optimizer.score(batches)
         if self.latency_budget_ms is not None:
             feasible &= latency <= self.latency_budget_ms
 

@@ -19,14 +19,12 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from ..core.costream import Costream
 from ..core.graph import collate_chunks, featurize_hosts
 from ..hardware.cluster import Cluster
 from ..placement.enumeration import HeuristicPlacementEnumerator
-from ..placement.optimizer import PlacementOptimizer
+from ..placement.optimizer import _MAXIMIZE, PlacementOptimizer
 from ..query.operators import OperatorKind
 from ..query.plan import QueryPlan
 
@@ -123,16 +121,13 @@ class ReorderingDecision:
 class ReorderingOptimizer:
     """Jointly optimizes filter order and operator placement.
 
-    The fast path featurizes the hosts once per cluster and collates
-    each rewrite's candidates directly into batches (no per-ordering
-    :class:`~repro.core.graph.QueryGraph` objects).  Each candidate
-    batch is scored on its own distinct rows
-    (:meth:`~repro.core.graph.GraphBatch.compact_prefix`); batches are
-    not fused
-    (:meth:`~repro.core.costream.Costream.merged_inference_batches`
-    returns them unchanged), since a fused batch ran slower than the
-    rewrites scored one by one.  Predictions — and therefore the
-    chosen (plan, placement) pair — are identical to the per-rewrite
+    The hosts are featurized once per cluster; each rewrite's
+    candidates are then decided by
+    :meth:`~repro.placement.PlacementOptimizer.choose` (collated
+    straight into batches, no per-ordering
+    :class:`~repro.core.graph.QueryGraph` objects), and the best
+    rewrite's decision wins.  Predictions — and therefore the chosen
+    (plan, placement) pair — are identical to the per-rewrite
     graph-object path retained as :meth:`optimize_reference`
     (equivalence is tested).
     """
@@ -167,38 +162,25 @@ class ReorderingOptimizer:
             candidates.append(cands)
         return rewrites, candidates
 
-    def _select_rewrite(self, rewrites: list[QueryPlan],
-                        candidates: list[list],
-                        objective_values, feasible,
+    def _select_rewrite(self, rewrites: list[QueryPlan], picks: list,
                         original: QueryPlan) -> ReorderingDecision:
-        """Per-rewrite candidate selection + cross-rewrite comparison.
+        """The decision over each rewrite's ``(objective, feasible
+        candidates, placement)`` pick.
 
-        Applies :meth:`PlacementOptimizer.select` to each rewrite's
-        slice of the joint prediction arrays, then keeps the first
-        strictly-better rewrite — the exact tie-breaking of the
-        sequential reference loop (original order first).
+        A rewrite with a candidate predicted to succeed without
+        backpressure beats one without; among those, the better
+        objective wins, and ties keep the earlier rewrite (the
+        original order comes first).
         """
-        maximize = self.objective in ("throughput",)
-        best = None
-        start = 0
-        for index, rewrite in enumerate(rewrites):
-            stop = start + len(candidates[index])
-            values = objective_values[start:stop]
-            chosen, _ = self._placement_optimizer.select(
-                values, feasible[start:stop])
-            score = float(values[chosen])
-            better = (best is None
-                      or (score > best[0] if maximize
-                          else score < best[0]))
-            if better:
-                best = (score, rewrite, candidates[index][chosen])
-            start = stop
-        score, rewrite, placement = best
+        sign = -1.0 if self.objective in _MAXIMIZE else 1.0
+        best = min(range(len(picks)),
+                   key=lambda i: (picks[i][1] == 0, sign * picks[i][0]))
+        objective, _, placement = picks[best]
         return ReorderingDecision(
-            plan=rewrite, placement=placement,
-            predicted_objective=score,
+            plan=rewrites[best], placement=placement,
+            predicted_objective=objective,
             rewrites_evaluated=len(rewrites),
-            reordered=rewrite.edges != original.edges)
+            reordered=rewrites[best].edges != original.edges)
 
     def optimize(self, plan: QueryPlan, cluster: Cluster,
                  n_candidates: int = 20,
@@ -210,18 +192,13 @@ class ReorderingOptimizer:
         host_features = (featurize_hosts(cluster, self.model.featurizer)
                          if self.model.featurizer.mode != "query_only"
                          else None)
-        batches = []
-        for rewrite, cands in zip(rewrites, candidates):
-            batches.extend(self.model.collate_placements(
-                rewrite, cands, cluster, selectivities,
-                host_features=host_features))
-        # Batches come back unfused: each candidate batch is scored on
-        # its own distinct rows.
-        batches = self.model.merged_inference_batches(batches)
-        objective_values, feasible = \
-            self._placement_optimizer.score(batches)
-        return self._select_rewrite(rewrites, candidates,
-                                    objective_values, feasible, plan)
+        decisions = [self._placement_optimizer.choose(
+                         rewrite, cluster, cands, selectivities,
+                         host_features=host_features)
+                     for rewrite, cands in zip(rewrites, candidates)]
+        return self._select_rewrite(
+            rewrites, [(d.predicted_objective, d.feasible_candidates,
+                        d.placement) for d in decisions], plan)
 
     def optimize_reference(self, plan: QueryPlan, cluster: Cluster,
                            n_candidates: int = 20,
@@ -231,23 +208,21 @@ class ReorderingOptimizer:
         reference for :meth:`optimize`.
 
         Builds one :class:`~repro.core.graph.QueryGraph` per candidate
-        of every rewrite and scores each rewrite separately — the
-        pre-fusion behavior; predictions and the final decision must
-        match :meth:`optimize` exactly (see
-        ``tests/test_ensemble_batched.py``).
+        of every rewrite and scores each rewrite separately;
+        predictions and the final decision must match :meth:`optimize`
+        exactly (see ``tests/test_ensemble_batched.py``).
         """
         rewrites, candidates = self._enumerate_rewrites(
             plan, cluster, n_candidates, seed)
         batch_size = self.model.config.batch_size
-        values_parts = []
-        feasible_parts = []
+        optimizer = self._placement_optimizer
+        picks = []
         for rewrite, cands in zip(rewrites, candidates):
             graphs = self.model.build_graphs(rewrite, cands, cluster,
                                              selectivities)
-            batches = collate_chunks(graphs, batch_size)
-            values, feasible = self._placement_optimizer.score(batches)
-            values_parts.append(values)
-            feasible_parts.append(feasible)
-        return self._select_rewrite(
-            rewrites, candidates, np.concatenate(values_parts),
-            np.concatenate(feasible_parts), plan)
+            values, feasible = optimizer.score(
+                collate_chunks(graphs, batch_size))
+            chosen, n_feasible = optimizer.select(values, feasible)
+            picks.append((float(values[chosen]), n_feasible,
+                          cands[chosen]))
+        return self._select_rewrite(rewrites, picks, plan)

@@ -9,7 +9,7 @@ the candidate with the best predicted target metric (ensemble mean).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for typing
     from ..core.costream import Costream
 from ..core.graph import GraphBatch
 from ..hardware.cluster import Cluster
-from ..hardware.placement import Placement
+from ..hardware.placement import IndexCandidates, Placement
 from ..query.plan import QueryPlan
 from .enumeration import HeuristicPlacementEnumerator
 
@@ -67,15 +67,29 @@ class PlacementOptimizer:
         candidates = enumerator.enumerate_indices(plan, n_candidates)
         if not candidates:
             raise ValueError("placement enumeration yielded no candidates")
-        # Fast path: the enumerator's index-array candidates flow
-        # straight into vectorized collation (no per-candidate string
-        # dicts); the plan and hosts are featurized once and the
-        # batches are shared across every metric ensemble — each
-        # ensemble runs one batched-GEMM forward over its stacked
-        # member weights per batch.  Only the winning candidate is
-        # materialized as a string Placement, in the decision.
-        batches = self.model.collate_placements(plan, candidates, cluster,
-                                                selectivities)
+        return self.choose(plan, cluster, candidates, selectivities)
+
+    def choose(self, plan: QueryPlan, cluster: Cluster,
+               candidates: Sequence[Placement] | IndexCandidates,
+               selectivities: dict[str, float] | None = None,
+               host_features: dict[str, np.ndarray] | None = None
+               ) -> PlacementDecision:
+        """Score ``candidates`` and return the decision among them.
+
+        Every placement decision is built here: :meth:`optimize`, the
+        serving batcher, incremental repair and the reordering
+        optimizer all hand their candidates to this method.  The plan
+        and hosts are featurized once and the candidates collated
+        straight into batches shared by every metric ensemble (index
+        matrices skip per-candidate string dicts); only the winning
+        candidate is materialized as a string :class:`Placement`.
+        ``host_features`` passes hosts already featurized by
+        :func:`repro.core.graph.featurize_hosts`, for callers that
+        score several plans on one cluster.
+        """
+        batches = self.model.collate_placements(
+            plan, candidates, cluster, selectivities,
+            host_features=host_features)
         objective_values, feasible = self.score(batches)
         best, n_feasible = self.select(objective_values, feasible)
         return PlacementDecision(
@@ -90,10 +104,8 @@ class PlacementOptimizer:
               ) -> tuple[np.ndarray, np.ndarray]:
         """Per-candidate (objective values, feasibility) over batches.
 
-        Accepts pre-collated batches (or raw graphs); shared with
-        :class:`repro.optimizations.reordering.ReorderingOptimizer`,
-        which scores every rewrite's candidates through one call per
-        metric instead of one optimization per rewrite.
+        Accepts pre-collated batches (or raw graphs), so one collation
+        serves the objective and both feasibility metrics.
         """
         return (self.model.predict_metric(self.objective, batches),
                 self._feasibility_mask(batches))

@@ -10,8 +10,9 @@ current host and
 :meth:`~repro.placement.enumeration.HeuristicPlacementEnumerator.
 enumerate_indices` samples candidates for the repair set alone —
 strictly less enumeration work than a from-scratch re-placement, and
-bitwise deterministic under a fixed seed.  Candidates score through
-the same index-native collation path as
+bitwise deterministic under a fixed seed.  Candidates are decided by
+:meth:`~repro.placement.optimizer.PlacementOptimizer.choose`, the
+method behind
 :meth:`~repro.placement.optimizer.PlacementOptimizer.optimize`.
 
 When no rule-valid repair exists under the pinning (e.g. a degrade
@@ -147,11 +148,12 @@ class PlacementRepairer:
                ) -> RepairOutcome:
         """Re-place the repair set; fall back to full re-placement.
 
-        The incremental path scores pinned candidates exactly as
-        :meth:`PlacementOptimizer.optimize` scores full candidates
-        (one collation, one ensemble pass per metric).  With no
-        rule-valid pinned candidate the fall back is recorded in the
-        outcome (``full_replacement`` / ``feasible``), never raised.
+        The incremental path decides among pinned candidates through
+        :meth:`PlacementOptimizer.choose`, as
+        :meth:`PlacementOptimizer.optimize` decides among full ones.
+        With no rule-valid pinned candidate the fall back is recorded
+        in the outcome (``full_replacement`` / ``feasible``), never
+        raised.
         """
         candidates, meta = self.repair_candidates(
             plan, cluster, placement, affected_nodes,
@@ -169,16 +171,8 @@ class PlacementRepairer:
                 feasible=False,
                 candidates_enumerated=decision.candidates_evaluated,
                 ops_sampled=decision.candidates_evaluated * len(plan))
-        batches = self.model.collate_placements(
-            plan, candidates, cluster, selectivities)
-        values, feasible = self._optimizer.score(batches)
-        best, n_feasible = self._optimizer.select(values, feasible)
-        decision = PlacementDecision(
-            placement=candidates[best],
-            predicted_objective=float(values[best]),
-            objective=self.objective,
-            candidates_evaluated=len(candidates),
-            feasible_candidates=n_feasible)
+        decision = self._optimizer.choose(plan, cluster, candidates,
+                                          selectivities)
         return RepairOutcome(
             decision=decision,
             repaired_ops=meta["repair_ops"],

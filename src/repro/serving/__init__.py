@@ -4,12 +4,12 @@ The product operation (paper Section V) is one placement decision;
 this package serves *streams* of independent decisions:
 
 * :class:`DecisionBatcher` — accepts a wave of ``(plan, cluster)``
-  requests, featurizes every plan and cluster once, scores each
-  request's candidate batches on their distinct rows (batches are
-  not fused across requests) and picks per-request
-  argmins — bitwise identical to sequential
-  :meth:`repro.placement.PlacementOptimizer.optimize` calls in
-  float64.  Every wave runs in-process.
+  requests, checks every request's pre-enumerated candidates, then
+  decides each request on its own
+  (:meth:`repro.placement.PlacementOptimizer.choose`), featurizing a
+  cluster shared by several requests once — bitwise identical to
+  sequential :meth:`repro.placement.PlacementOptimizer.optimize`
+  calls in float64.
 * :class:`ServingLoop` — the front door: each request is decided as
   soon as the dispatcher is free and its future resolved at once,
   with bounded-queue admission control and per-dispatch counters.

@@ -1,25 +1,24 @@
 """Placement serving: waves of independent decisions.
 
 :class:`DecisionBatcher` serves a *wave* of ``(plan, cluster)``
-requests with the sequential decision's steps: enumerate each
-request's candidates, collate them (clusters shared across requests
-featurize their hosts once per wave), score every request's candidate
-batches on their distinct rows
-(:meth:`repro.core.graph.GraphBatch.compact_prefix`) and pick each
-request's argmin.  Batches are not fused across requests: a fused
-wave ran slower than deciding its requests one by one
-(PERFORMANCE.md §8 and §18).
+requests as a loop of the sequential decision: enumerate (or check)
+every request's candidates, then decide each request on its own
+through :meth:`repro.placement.PlacementOptimizer.choose`.  Clusters
+shared across requests featurize their hosts once per wave.  Requests
+are never scored together: a wave that fused its requests' batches
+ran slower than deciding them one by one (PERFORMANCE.md §8), and the
+fusion code is gone.
 
 Guarantees (see PERFORMANCE.md):
 
-* float64 wave decisions — chosen placements, per-candidate objective
-  values, feasibility masks — are **bitwise identical** to sequential
+* float64 wave decisions — chosen placements, objective values,
+  feasibility counts — are **bitwise identical** to sequential
   ``optimize`` calls with the same per-request seeds;
 * under :class:`repro.nn.float32_inference` the whole wave runs
   float32 end-to-end (featurization, collation, GEMMs) within the
   documented decision-level tolerance;
-* pre-enumerated candidates are checked against their request's plan
-  and cluster before any of them is scored.
+* every request's pre-enumerated candidates are checked against its
+  plan and cluster before any request is scored.
 """
 
 from __future__ import annotations
@@ -69,9 +68,9 @@ class DecisionBatcher:
     """Serves waves of independent placement decisions.
 
     One instance wraps one :class:`~repro.core.costream.Costream` and
-    objective, like :class:`~repro.placement.PlacementOptimizer` — and
-    reuses its candidate selection, so decisions are identical.  Every
-    wave runs in-process.
+    objective, like :class:`~repro.placement.PlacementOptimizer`, and
+    decides every request through that optimizer, so decisions are
+    identical.
     """
 
     def __init__(self, model: "Costream",
@@ -83,69 +82,38 @@ class DecisionBatcher:
     # ------------------------------------------------------------------
     def decide(self, requests: Iterable[DecisionRequest]
                ) -> list[PlacementDecision]:
-        """Serve one wave of decisions (order matches the requests):
-        each request's candidates are scored on their own batches,
-        exactly as :meth:`PlacementOptimizer.optimize` scores them."""
+        """Serve one wave of decisions (order matches the requests).
+
+        Every request's pre-enumerated candidates are checked before
+        any request is scored; then each request is decided on its own
+        by :meth:`PlacementOptimizer.choose`, exactly as
+        :meth:`PlacementOptimizer.optimize` decides it.
+        """
         requests = list(requests)
-        if not requests:
-            return []
         candidates = [self._candidates_for(request)
                       for request in requests]
-        values, feasible, bounds = self.score_wave(requests, candidates)
-        decisions = []
-        for index, request in enumerate(requests):
-            lo, hi = bounds[index], bounds[index + 1]
-            best, n_feasible = self._optimizer.select(values[lo:hi],
-                                                      feasible[lo:hi])
-            decisions.append(PlacementDecision(
-                placement=candidates[index][best],
-                predicted_objective=float(values[lo + best]),
-                objective=self.objective,
-                candidates_evaluated=len(candidates[index]),
-                feasible_candidates=n_feasible))
-        return decisions
-
-    # ------------------------------------------------------------------
-    def score_wave(self, requests: Sequence[DecisionRequest],
-                   candidates: Sequence[Sequence[Placement]]
-                   ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Joint (objective values, feasibility, request bounds).
-
-        Collates each request's candidates (plan and hosts featurized
-        once per request — clusters shared across requests featurize
-        once per wave) and scores the batches through
-        :meth:`~repro.core.costream.Costream.merged_inference_batches`,
-        which leaves them unfused: each candidate batch is scored on
-        its own distinct rows.  ``bounds[i]:bounds[i+1]`` is request
-        ``i``'s slice of the flat arrays.
-        """
-        model = self.model
         host_cache: dict[tuple, dict[str, np.ndarray]] = {}
-        batches = []
-        for request, cands in zip(requests, candidates):
-            host_features = None
-            if model.featurizer.mode != "query_only":
-                # Keyed on (cluster, version): clusters mutate under
-                # churn, and a degrade keeps ids — identity alone
-                # would serve pre-mutation host features.
-                key = (id(request.cluster),
-                       getattr(request.cluster, "version", 0))
-                host_features = host_cache.get(key)
-                if host_features is None:
-                    host_features = featurize_hosts(request.cluster,
-                                                    model.featurizer)
-                    host_cache[key] = host_features
-            batches.append(model.collate_placements(
-                request.plan, cands, request.cluster,
-                request.selectivities, host_features=host_features))
-        flat = [batch for request_batches in batches
-                for batch in request_batches]
-        merged = model.merged_inference_batches(flat)
-        values, feasible = self._optimizer.score(merged)
-        bounds = [0]
-        for cands in candidates:
-            bounds.append(bounds[-1] + len(cands))
-        return values, feasible, bounds
+        return [self._optimizer.choose(
+                    request.plan, request.cluster, cands,
+                    request.selectivities,
+                    host_features=self._host_features(request.cluster,
+                                                      host_cache))
+                for request, cands in zip(requests, candidates)]
+
+    def _host_features(self, cluster: Cluster, cache: dict
+                       ) -> dict[str, np.ndarray] | None:
+        """The cluster's host features, featurized once per wave."""
+        if self.model.featurizer.mode == "query_only":
+            return None
+        # Keyed on (cluster, version): clusters mutate under churn, and
+        # a degrade keeps ids — identity alone would serve pre-mutation
+        # host features.
+        key = (id(cluster), getattr(cluster, "version", 0))
+        features = cache.get(key)
+        if features is None:
+            features = cache[key] = featurize_hosts(cluster,
+                                                    self.model.featurizer)
+        return features
 
     # ------------------------------------------------------------------
     def _candidates_for(self, request: DecisionRequest

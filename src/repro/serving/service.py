@@ -7,10 +7,10 @@ it is handed; production traffic arrives one request at a time.
 future back.  A dispatcher thread takes the oldest queued request as
 soon as it is free, decides it alone (``batcher.decide([request])``)
 and resolves that request's future at once, so no request waits for
-a wave to fill or for other requests' decisions.  Waves do not pay
-here: a merged wave cost 0.98x sequential ``optimize`` per request at
-2-8 requests and 1.18x (slower) at 16 on the serve traffic
-(PERFORMANCE.md §8).
+a wave to fill or for other requests' decisions.  A wave is only a
+loop of per-request decisions (fusing its requests' batches ran
+slower than deciding them one by one, PERFORMANCE.md §8), so waiting
+to form one would buy nothing.
 
 Admission control: the intake queue is bounded (``max_queue``).  A
 non-blocking :meth:`submit` raises :class:`BackpressureError` when the

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Costream, TrainingConfig
+from repro.core import Costream, TrainingConfig, featurize_plan
 from repro.hardware import Cluster, HardwareNode, Placement
 from repro.optimizations import (BudgetedPlacementOptimizer,
                                  MonetaryCostEstimator, PriceModel,
@@ -85,6 +85,44 @@ class TestReorderingOptimizer:
             join_plan, small_cluster, n_candidates=5, seed=1)
         assert not decision.reordered
         assert decision.rewrites_evaluated == 1
+
+    @pytest.mark.parametrize("method", ["optimize", "optimize_reference"])
+    def test_feasible_rewrite_beats_cheaper_infeasible_one(
+            self, method, small_cluster, monkeypatch):
+        """The original order has a feasible candidate at 10 ms; the
+        only rewrite has none (all predicted to fail) at 5 ms.  The
+        rewrite's 5 ms is a fallback, so the original order wins."""
+        plan = _chain_plan((0.9, 0.1))
+        model = Costream(
+            metrics=("processing_latency", "success", "backpressure"),
+            config=TrainingConfig(hidden_dim=8), seed=0)
+        plan_features = featurize_plan(plan, model.featurizer)
+        f1_features = plan_features.features[plan_features.op_index["f1"]]
+
+        def predict_metric(metric, batches):
+            # A graph is in the original order when its first filter
+            # (operators are numbered in flow order) is f1.
+            original = []
+            for batch in batches:
+                rows = batch.type_rows["filter"]
+                first = np.unique(batch.graph_id[rows],
+                                  return_index=True)[1]
+                original.append(np.all(
+                    batch.type_features["filter"][first] == f1_features,
+                    axis=1))
+            original = np.concatenate(original)
+            if metric == "processing_latency":
+                return np.where(original, 10.0, 5.0)
+            if metric == "success":
+                return original.astype(np.float64)
+            return np.zeros(original.size)
+
+        monkeypatch.setattr(model, "predict_metric", predict_metric)
+        decision = getattr(ReorderingOptimizer(model), method)(
+            plan, small_cluster, n_candidates=4, seed=0)
+        assert decision.rewrites_evaluated == 2
+        assert not decision.reordered
+        assert decision.predicted_objective == 10.0
 
 
 class TestMonetaryCosts:

@@ -1,19 +1,18 @@
 """Cross-decision serving: waves, float32 end-to-end, the loop.
 
-The throughput engine's contract (PERFORMANCE.md):
+The serving contract (PERFORMANCE.md):
 
 * float64 wave decisions are bitwise identical to sequential
   :meth:`PlacementOptimizer.optimize` calls — chosen placements,
-  per-candidate objectives, feasibility counts;
-* :func:`repro.core.graph.merge_batches` produces exactly the batch a
-  joint collation would (staged fields), and merged predictions equal
-  per-batch predictions bit for bit (candidate batches score on their
-  compact rows and are not fused by serving);
+  objectives, feasibility counts — over generated plans on fresh,
+  churned and shared clusters, with enumerated or pre-enumerated
+  candidates;
 * under :class:`repro.nn.float32_inference` featurization/collation
   are float32 end-to-end, bitwise equal to the old cast-at-forward
   path and within the documented decision-level tolerance of float64;
 * pre-enumerated candidates that do not fit their request's plan and
-  cluster are rejected before scoring, naming what is wrong;
+  cluster are rejected before any request of the wave is scored,
+  naming what is wrong;
 * the serving loop decides each request on arrival, bitwise equal to
   sequential ``optimize``, under concurrent submitters, cancellation
   and backpressure.
@@ -28,17 +27,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.costream import Costream
-from repro.core.graph import (collate, collate_chunks, mega_mergeable,
-                              merge_batches)
 from repro.core.training import TrainingConfig
+from repro.hardware.churn import ChurnPlan, apply_event
 from repro.hardware.cluster import sample_cluster
 from repro.hardware.placement import IndexCandidates, Placement
 from repro.nn import float32_inference
 from repro.placement.enumeration import HeuristicPlacementEnumerator
 from repro.placement.optimizer import PlacementOptimizer
 from repro.query.generator import QueryGenerator
+from repro.query.operators import OperatorKind
 from repro.serving import (BackpressureError, DecisionBatcher,
                            DecisionRequest, ServingLoop)
 
@@ -67,14 +68,14 @@ def _requests(n: int, seed: int = 7,
             for index in range(n)]
 
 
+def _decision_fields(decisions):
+    return [(d.placement, repr(d.predicted_objective), d.objective,
+             d.candidates_evaluated, d.feasible_candidates)
+            for d in decisions]
+
+
 def _assert_decisions_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        assert a.placement == b.placement
-        assert a.predicted_objective == b.predicted_objective
-        assert a.objective == b.objective
-        assert a.candidates_evaluated == b.candidates_evaluated
-        assert a.feasible_candidates == b.feasible_candidates
+    assert _decision_fields(left) == _decision_fields(right)
 
 
 class TestMegaBatchedWave:
@@ -90,22 +91,49 @@ class TestMegaBatchedWave:
                       for r in requests]
         _assert_decisions_equal(batched, sequential)
 
-    def test_wave_objectives_bitwise(self):
-        """Per-candidate objective values and masks, not just argmins."""
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), n_requests=st.integers(1, 6),
+           n_clusters=st.integers(1, 3), n_events=st.integers(0, 4))
+    def test_wave_equals_sequential_over_generated_workloads(
+            self, seed, n_requests, n_clusters, n_events):
+        """Generated plans on fresh and churned clusters, clusters
+        shared across a wave: the wave decides every request exactly
+        as its own ``optimize`` call does, again when the requests
+        carry their enumerated candidates, and again on replay."""
+        rng = np.random.default_rng(seed)
+        generator = QueryGenerator(seed=rng)
+        clusters = [sample_cluster(rng, int(rng.integers(3, 8)))
+                    for _ in range(n_clusters)]
+        for index in range(0, n_clusters, 2):
+            for event in ChurnPlan.random(seed=seed + index,
+                                          n_events=n_events):
+                apply_event(clusters[index], event)
+        requests = []
+        for index in range(n_requests):
+            plan = generator.generate()
+            # Half the requests carry estimated filter selectivities.
+            selectivities = {
+                op_id: float(rng.uniform(0.01, 1.0))
+                for op_id in plan.topological_order()
+                if plan.operator(op_id).kind is OperatorKind.FILTER
+            } if rng.random() < 0.5 else None
+            requests.append(DecisionRequest(
+                plan=plan, cluster=clusters[int(rng.integers(n_clusters))],
+                n_candidates=int(rng.integers(1, 12)),
+                selectivities=selectivities, seed=index))
         model = _model()
         batcher = DecisionBatcher(model)
-        optimizer = PlacementOptimizer(model)
-        requests = _requests(5, seed=11)
-        candidates = [batcher._candidates_for(r) for r in requests]
-        values, feasible, bounds = batcher.score_wave(requests,
-                                                      candidates)
-        for index, request in enumerate(requests):
-            batches = model.collate_placements(
-                request.plan, candidates[index], request.cluster)
-            seq_values, seq_feasible = optimizer.score(batches)
-            lo, hi = bounds[index], bounds[index + 1]
-            np.testing.assert_array_equal(values[lo:hi], seq_values)
-            np.testing.assert_array_equal(feasible[lo:hi], seq_feasible)
+        sequential = _optimize(model, requests)
+        _assert_decisions_equal(batcher.decide(requests), sequential)
+        enumerated = [dataclasses.replace(
+                          request,
+                          candidates=HeuristicPlacementEnumerator(
+                              request.cluster, seed=request.seed
+                          ).enumerate_indices(request.plan,
+                                              request.n_candidates))
+                      for request in requests]
+        _assert_decisions_equal(batcher.decide(enumerated), sequential)
+        _assert_decisions_equal(batcher.decide(requests), sequential)
 
     def test_pre_enumerated_candidates(self):
         model = _model()
@@ -134,100 +162,6 @@ class TestMegaBatchedWave:
                                          seed=r.seed)
                       for r in requests]
         _assert_decisions_equal(batcher.decide(requests), sequential)
-
-
-class TestMergeBatches:
-    def _graphs(self, seed: int, n: int):
-        rng = np.random.default_rng(seed)
-        generator = QueryGenerator(seed=rng)
-        model = _model()
-        graphs = []
-        for _ in range(n):
-            plan = generator.generate()
-            cluster = sample_cluster(rng, int(rng.integers(3, 6)))
-            placement = HeuristicPlacementEnumerator(
-                cluster, seed=rng).sample(plan)
-            graphs.append(model.build_graph(plan, placement, cluster))
-        return graphs
-
-    def test_merged_equals_joint_collation(self):
-        """Staged fields of the merged batch match collating all the
-        source graphs jointly, field for field."""
-        graphs = self._graphs(0, 9)
-        chunks = collate_chunks(graphs, 3)
-        merged = merge_batches(chunks)
-        joint = collate(graphs)
-        assert merged.n_nodes == joint.n_nodes
-        assert merged.n_graphs == joint.n_graphs
-        np.testing.assert_array_equal(merged.graph_id, joint.graph_id)
-        assert list(merged.type_rows) == list(joint.type_rows)
-        for node_type in joint.type_rows:
-            np.testing.assert_array_equal(merged.type_rows[node_type],
-                                          joint.type_rows[node_type])
-            np.testing.assert_array_equal(
-                merged.type_features[node_type],
-                joint.type_features[node_type])
-        for merged_slices, joint_slices in (
-                (merged.ops_to_hw, joint.ops_to_hw),
-                (merged.hw_to_ops, joint.hw_to_ops),
-                *zip(merged.flow_levels, joint.flow_levels)):
-            assert list(merged_slices) == list(joint_slices)
-            for node_type in joint_slices:
-                fast = merged_slices[node_type]
-                slow = joint_slices[node_type]
-                np.testing.assert_array_equal(fast.recv_rows,
-                                              slow.recv_rows)
-                np.testing.assert_array_equal(fast.edge_src,
-                                              slow.edge_src)
-                np.testing.assert_array_equal(fast.edge_seg,
-                                              slow.edge_seg)
-        np.testing.assert_array_equal(merged.readout_segments,
-                                      np.asarray([3, 3, 3]))
-        # neighbor_rounds edges are grouped per source batch: same
-        # receivers, same edge multiset (order differs).
-        assert list(merged.neighbor_rounds) == list(joint.neighbor_rounds)
-        for node_type in joint.neighbor_rounds:
-            fast = merged.neighbor_rounds[node_type]
-            slow = joint.neighbor_rounds[node_type]
-            np.testing.assert_array_equal(fast.recv_rows, slow.recv_rows)
-            fast_edges = sorted(zip(fast.edge_src.tolist(),
-                                    fast.edge_seg.tolist()))
-            slow_edges = sorted(zip(slow.edge_src.tolist(),
-                                    slow.edge_seg.tolist()))
-            assert fast_edges == slow_edges
-
-    def test_merged_predictions_bitwise(self):
-        """Candidate batches of different plans (the serving shape):
-        the fused mega-batch, which runs the full path, predicts bit
-        for bit what each batch predicts on its own compact rows.
-        Serving never fuses batches; the merge is called
-        directly."""
-        model = _model()
-        chunks = []
-        for request in _requests(4, seed=41):
-            candidates = DecisionBatcher(model)._candidates_for(request)
-            chunks.extend(model.collate_placements(
-                request.plan, candidates, request.cluster))
-        assert all(chunk.candidates is not None for chunk in chunks)
-        merged = [merge_batches(chunks)]
-        assert merged[0].candidates is None
-        for metric in _METRICS:
-            separate = np.concatenate(
-                [model.predict_metric(metric, [chunk])
-                 for chunk in chunks])
-            np.testing.assert_array_equal(
-                model.predict_metric(metric, merged), separate)
-
-    def test_single_graph_batches_not_merged(self):
-        graphs = self._graphs(6, 3)
-        chunks = collate_chunks(graphs, 1)
-        assert not mega_mergeable(chunks[0])
-        model = _model()
-        assert model.merged_inference_batches(chunks) is chunks
-
-    def test_merge_requires_batches(self):
-        with pytest.raises(ValueError):
-            merge_batches([])
 
 
 class TestFloat32EndToEnd:
@@ -298,14 +232,17 @@ class TestFloat32EndToEnd:
 
         model = _model()
         batcher = DecisionBatcher(model)
-        requests = _requests(5, seed=19)
-        candidates = [batcher._candidates_for(r) for r in requests]
-        values, _, _ = batcher.score_wave(requests, candidates)
-        with float32_inference():
-            f32_values, _, _ = batcher.score_wave(requests, candidates)
-        rel = np.max(np.abs(f32_values - values)
-                     / (np.abs(values) + 1e-9))
-        assert rel <= FLOAT32_TOLERANCE
+        optimizer = PlacementOptimizer(model)
+        for request in _requests(5, seed=19):
+            candidates = batcher._candidates_for(request)
+            values, _ = optimizer.score(model.collate_placements(
+                request.plan, candidates, request.cluster))
+            with float32_inference():
+                f32_values, _ = optimizer.score(model.collate_placements(
+                    request.plan, candidates, request.cluster))
+            rel = np.max(np.abs(f32_values - values)
+                         / (np.abs(values) + 1e-9))
+            assert rel <= FLOAT32_TOLERANCE
 
 
 def _optimize(model, requests):
@@ -572,15 +509,31 @@ class TestCandidateValidation:
                      r"'join1', 'agg1', 'sink'\]",
                      id="partial-placement"),
     ])
-    def test_rejected_before_scoring(self, make, message):
+    def test_rejected_before_scoring(self, make, message, monkeypatch):
+        """The bad request alone, and behind a valid request in one
+        wave: no request of the wave reaches collation."""
         plan = QueryGenerator(seed=3).generate_two_way()
         cluster = sample_cluster(np.random.default_rng(0), 5)
         assert len(plan) == 6
         candidates = make(plan, cluster)
         request = DecisionRequest(plan=plan, cluster=cluster,
                                   candidates=candidates)
-        with pytest.raises(ValueError, match=message):
-            DecisionBatcher(_model()).decide([request])
+        valid = DecisionRequest(
+            plan=QueryGenerator(seed=4).generate(),
+            cluster=sample_cluster(np.random.default_rng(1), 5))
+        collated = []
+        collate_placements = Costream.collate_placements
+
+        def counting(self, *args, **kwargs):
+            collated.append(args[0])
+            return collate_placements(self, *args, **kwargs)
+
+        monkeypatch.setattr(Costream, "collate_placements", counting)
+        batcher = DecisionBatcher(_model())
+        for wave in ([request], [valid, request]):
+            with pytest.raises(ValueError, match=message):
+                batcher.decide(wave)
+        assert collated == []
 
 
 class TestServiceLatencyStats:
