@@ -783,6 +783,7 @@ def collate(graphs: list[QueryGraph]) -> GraphBatch:
     graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     codes = np.concatenate([a.type_codes for a in arrays])
 
+    features = [a.type_features_as(target) for a in arrays]
     type_rows: dict[str, np.ndarray] = {}
     type_features: dict[str, np.ndarray] = {}
     for node_type in NODE_TYPES:
@@ -792,7 +793,7 @@ def collate(graphs: list[QueryGraph]) -> GraphBatch:
             rows = a.type_rows.get(node_type)
             if rows is not None:
                 row_parts.append(rows + offsets[i])
-                feature_parts.append(a.type_features_as(target)[node_type])
+                feature_parts.append(features[i][node_type])
         if not row_parts:
             continue
         type_rows[node_type] = np.concatenate(row_parts)

@@ -123,6 +123,8 @@ class BudgetedPlacementOptimizer:
                  seed: int = 0) -> BudgetDecision:
         enumerator = HeuristicPlacementEnumerator(cluster, seed=seed)
         candidates = enumerator.enumerate(plan, n_candidates)
+        if not candidates:
+            raise ValueError("placement enumeration yielded no candidates")
         # One plan featurization and one collation serve all three
         # metric predictions (see PERFORMANCE.md).
         batches = self.model.collate_placements(plan, candidates, cluster,

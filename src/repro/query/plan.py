@@ -9,6 +9,7 @@ by the cost-model featurization: per-operator input/output tuple rates
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .datatypes import TupleSchema
@@ -174,18 +175,31 @@ class QueryPlan:
     # ------------------------------------------------------------------
     # Logical stream annotation
     # ------------------------------------------------------------------
-    def annotations(self) -> dict[str, StreamAnnotation]:
-        """Derive per-operator logical rates and schemas (memoized)."""
+    def annotations(self, scale: float = 1.0
+                    ) -> dict[str, StreamAnnotation]:
+        """Derive per-operator logical rates and schemas.
+
+        ``scale`` multiplies every source's event rate, as if the
+        broker throttled all sources by that factor; a scaled source
+        rate is floored at ``1e-6`` tuples/second.  The execution
+        simulator's backpressure bisection propagates the plan at many
+        scales, so only the nominal ``scale=1.0`` result is memoized.
+        """
+        if scale != 1.0:
+            if not math.isfinite(scale):
+                raise ValueError(f"source-rate scale must be finite, "
+                                 f"got {scale!r}")
+            return self._annotate(scale)
         if self._annotations is None:
-            self._annotations = self._annotate()
+            self._annotations = self._annotate(1.0)
         return self._annotations
 
-    def _annotate(self) -> dict[str, StreamAnnotation]:
+    def _annotate(self, scale: float) -> dict[str, StreamAnnotation]:
         result: dict[str, StreamAnnotation] = {}
         for op_id in self._order:
             operator = self._operators[op_id]
             inputs = [result[p] for p in self._parents[op_id]]
-            result[op_id] = _annotate_operator(operator, inputs)
+            result[op_id] = _annotate_operator(operator, inputs, scale)
         return result
 
     def output_rate(self) -> float:
@@ -208,15 +222,16 @@ class QueryPlan:
         return f"{base} query ({filters} filters){suffix}"
 
 
-def _annotate_operator(operator: Operator,
-                       inputs: list[StreamAnnotation]) -> StreamAnnotation:
+def _annotate_operator(operator: Operator, inputs: list[StreamAnnotation],
+                       scale: float) -> StreamAnnotation:
     """Rate/schema propagation rules per operator kind."""
     kind = operator.kind
     if kind is OperatorKind.SOURCE:
         assert isinstance(operator, Source)
+        rate = operator.event_rate if scale == 1.0 \
+            else max(operator.event_rate * scale, 1e-6)
         schema = operator.schema
-        return StreamAnnotation(operator.event_rate, operator.event_rate,
-                                schema, schema)
+        return StreamAnnotation(rate, rate, schema, schema)
 
     if kind is OperatorKind.FILTER:
         assert isinstance(operator, Filter)

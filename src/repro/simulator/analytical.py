@@ -12,6 +12,11 @@ cluster it computes the five cost metrics from first principles:
 * **Effective throughput** — source rates are scaled down to the
   largest factor the bottleneck sustains (a fixed point found by
   bisection, since windowed-join load is super-linear in the rates).
+  Everything that does not depend on the scale — operator hosts,
+  parent lists, node footprints, RAM and base capacities, cross-host
+  edges and their link bandwidths — is derived once per run; each
+  bisection step only propagates the plan's annotations at its scale
+  and re-evaluates loads, memory and utilizations from them.
 * **Latencies** — the processing latency follows the slowest
   source-to-sink path: service times inflated by queueing (M/M/1-style
   waiting capped at a configurable factor), window emission waits, and
@@ -25,13 +30,14 @@ cluster it computes the five cost metrics from first principles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..hardware.cluster import Cluster
 from ..hardware.placement import Placement
-from ..query.operators import OperatorKind, Source
+from ..query.operators import Operator, OperatorKind
 from ..query.plan import QueryPlan, StreamAnnotation
 from .config import SimulationConfig
 from .costs import operator_load, operator_state_bytes
@@ -57,6 +63,29 @@ class ExecutionSnapshot:
     max_utilization: float
 
 
+class _PlacedQuery(NamedTuple):
+    """The scale-independent part of every snapshot of one placed query.
+
+    Built once per :meth:`AnalyticalSimulator.run` (and per public
+    :meth:`~AnalyticalSimulator.snapshot` call); the backpressure
+    bisection evaluates all of its steps from it.
+    """
+
+    plan: QueryPlan
+    #: ``(op_id, operator, parent op_ids, host)`` in topological order.
+    operators: list[tuple[str, Operator, list[str], str]]
+    #: ``(node_id, footprint bytes, RAM bytes, capacity before GC
+    #: pressure, hosts an operator)`` in cluster order.
+    nodes: list[tuple[str, float, float, float, bool]]
+    #: Nodes the placement uses, in cluster order.
+    used: list[str]
+    #: ``(sender op_id, sender node, tuple bytes)`` per cross-host edge,
+    #: in ``plan.edges`` order.
+    links: list[tuple[str, str, int]]
+    #: Outgoing bandwidth in bits/second per sending node.
+    link_bits_per_s: dict[str, float]
+
+
 class AnalyticalSimulator:
     """Computes :class:`QueryMetrics` for a placed query without running it."""
 
@@ -73,13 +102,12 @@ class AnalyticalSimulator:
         rng = np.random.default_rng(seed)
         efficiency = self._node_efficiency(cluster, rng)
 
-        nominal = self.snapshot(plan, placement, cluster, 1.0, efficiency)
+        query = self._placed(plan, placement, cluster, efficiency)
+        nominal = self._evaluate(query, 1.0)
         backpressure = nominal.max_utilization > 1.0
-        scale = self._sustainable_scale(plan, placement, cluster,
-                                        nominal, efficiency)
+        scale = self._sustainable_scale(query, nominal)
         effective = (nominal if scale >= 1.0 else
-                     self.snapshot(plan, placement, cluster, scale,
-                                   efficiency))
+                     self._evaluate(query, scale))
 
         throughput = effective.annotations[plan.sink].output_rate
         processing_ms = self._processing_latency_ms(plan, placement, cluster,
@@ -108,50 +136,86 @@ class AnalyticalSimulator:
                  cluster: Cluster, scale: float,
                  efficiency: dict[str, float] | None = None
                  ) -> ExecutionSnapshot:
-        """Loads, occupancies and utilizations at one source-rate scale."""
-        efficiency = efficiency or {n: 1.0 for n in cluster.node_ids}
-        scaled = _scaled_plan(plan, scale)
-        annotations = scaled.annotations()
+        """Loads, occupancies and utilizations at one source-rate scale.
 
-        node_load: dict[str, float] = {n: 0.0 for n in cluster.node_ids}
-        node_state: dict[str, float] = {n: 0.0 for n in cluster.node_ids}
-        node_ops: dict[str, int] = {n: 0 for n in cluster.node_ids}
-        for op_id in scaled.topological_order():
-            operator = scaled.operator(op_id)
-            inputs = [annotations[p] for p in scaled.parents(op_id)]
+        The same evaluation that every bisection step of :meth:`run`
+        uses, on invariants derived for this one call.
+        """
+        efficiency = efficiency or {n: 1.0 for n in cluster.node_ids}
+        return self._evaluate(
+            self._placed(plan, placement, cluster, efficiency), scale)
+
+    def _placed(self, plan: QueryPlan, placement: Placement,
+                cluster: Cluster, efficiency: dict[str, float]
+                ) -> _PlacedQuery:
+        """Everything a snapshot needs that no source-rate scale moves."""
+        host = {op_id: placement.node_of(op_id)
+                for op_id in plan.topological_order()}
+        operators = [(op_id, plan.operator(op_id), plan.parents(op_id), node)
+                     for op_id, node in host.items()]
+        node_ids = cluster.node_ids
+        node_ops = dict.fromkeys(node_ids, 0)
+        for node_id in host.values():
+            node_ops[node_id] += 1
+        config = self.config
+        nodes = []
+        for node_id in node_ids:
+            node = cluster.node(node_id)
+            footprint_mb = (config.node_footprint_mb + node_ops[node_id]
+                            * config.operator_footprint_mb)
+            capacity = (node.cpu / 100.0) * config.reference_capacity \
+                * efficiency[node_id]
+            nodes.append((node_id, footprint_mb * _MB, node.ram_mb * _MB,
+                          capacity, node_ops[node_id] > 0))
+        used = set(placement.used_nodes())
+        # A stream's schema, so its tuple size, does not depend on rates.
+        schemas = plan.annotations()
+        links = [(parent, host[parent], schemas[parent].output_schema.bytes)
+                 for parent, child in plan.edges
+                 if host[parent] != host[child]]
+        link_bits_per_s = {
+            sender: cluster.node(sender).bandwidth_mbits * 1e6
+            for _, sender, _ in links}
+        return _PlacedQuery(plan, operators, nodes,
+                            [n for n in node_ids if n in used],
+                            links, link_bits_per_s)
+
+    def _evaluate(self, query: _PlacedQuery, scale: float
+                  ) -> ExecutionSnapshot:
+        """The snapshot of one placed query at one source-rate scale."""
+        annotations = query.plan.annotations(scale)
+        node_load = {node_id: 0.0 for node_id, *_ in query.nodes}
+        node_state = dict(node_load)
+        for op_id, operator, parents, node in query.operators:
+            inputs = [annotations[p] for p in parents]
             annotation = annotations[op_id]
-            node = placement.node_of(op_id)
             node_load[node] += operator_load(operator, inputs, annotation)
             node_state[node] += operator_state_bytes(operator, inputs,
                                                      annotation)
-            node_ops[node] += 1
 
         node_capacity: dict[str, float] = {}
         node_occupancy: dict[str, float] = {}
         node_utilization: dict[str, float] = {}
-        for node_id in cluster.node_ids:
-            node = cluster.node(node_id)
-            footprint_mb = (self.config.node_footprint_mb
-                            + node_ops[node_id]
-                            * self.config.operator_footprint_mb)
-            occupancy = (footprint_mb * _MB + node_state[node_id]) \
-                / (node.ram_mb * _MB)
-            capacity = (node.cpu / 100.0) * self.config.reference_capacity \
-                * efficiency[node_id]
-            capacity *= self._gc_factor(occupancy)
+        for node_id, footprint, ram, base_capacity, hosts_ops in query.nodes:
+            occupancy = (footprint + node_state[node_id]) / ram
+            capacity = base_capacity * self._gc_factor(occupancy)
             utilization = node_load[node_id] / capacity if capacity > 0 \
                 else float("inf")
             node_capacity[node_id] = capacity
             node_occupancy[node_id] = occupancy
-            node_utilization[node_id] = (utilization
-                                         if node_ops[node_id] else 0.0)
+            node_utilization[node_id] = utilization if hosts_ops else 0.0
 
-        link_utilization = self._link_utilization(scaled, placement, cluster,
-                                                  annotations)
-        used = set(placement.used_nodes())
-        max_util = max(
-            [u for n, u in node_utilization.items() if n in used]
-            + list(link_utilization.values()) + [0.0])
+        # Outgoing-bandwidth utilization per sender node.
+        outgoing_bits: dict[str, float] = {}
+        for parent, sender, size in query.links:
+            bits = annotations[parent].output_rate * size * 8.0
+            outgoing_bits[sender] = outgoing_bits.get(sender, 0.0) + bits
+        link_utilization = {
+            sender: bits / query.link_bits_per_s[sender]
+            for sender, bits in outgoing_bits.items()}
+
+        max_util = max([node_utilization[n] for n in query.used]
+                       + list(link_utilization.values()) + [0.0])
         return ExecutionSnapshot(scale=scale, annotations=annotations,
                                  node_load=node_load,
                                  node_capacity=node_capacity,
@@ -159,24 +223,6 @@ class AnalyticalSimulator:
                                  node_occupancy=node_occupancy,
                                  link_utilization=link_utilization,
                                  max_utilization=max_util)
-
-    def _link_utilization(self, plan: QueryPlan, placement: Placement,
-                          cluster: Cluster,
-                          annotations: dict[str, StreamAnnotation]
-                          ) -> dict[str, float]:
-        """Outgoing-bandwidth utilization per sender node."""
-        outgoing_bits: dict[str, float] = {}
-        for parent, child in plan.edges:
-            sender = placement.node_of(parent)
-            receiver = placement.node_of(child)
-            if sender == receiver:
-                continue
-            annotation = annotations[parent]
-            bits = annotation.output_rate * annotation.output_schema.bytes \
-                * 8.0
-            outgoing_bits[sender] = outgoing_bits.get(sender, 0.0) + bits
-        return {node: bits / (cluster.node(node).bandwidth_mbits * 1e6)
-                for node, bits in outgoing_bits.items()}
 
     def _gc_factor(self, occupancy: float) -> float:
         threshold = self.config.gc_pressure_threshold
@@ -196,17 +242,15 @@ class AnalyticalSimulator:
     # ------------------------------------------------------------------
     # Backpressure fixed point
     # ------------------------------------------------------------------
-    def _sustainable_scale(self, plan: QueryPlan, placement: Placement,
-                           cluster: Cluster, nominal: ExecutionSnapshot,
-                           efficiency: dict[str, float]) -> float:
+    def _sustainable_scale(self, query: _PlacedQuery,
+                           nominal: ExecutionSnapshot) -> float:
         """Largest source-rate factor the bottleneck sustains (<= 1)."""
         if nominal.max_utilization <= 1.0:
             return 1.0
         low, high = 0.0, 1.0
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (low + high)
-            snap = self.snapshot(plan, placement, cluster, mid, efficiency)
-            if snap.max_utilization > 1.0:
+            if self._evaluate(query, mid).max_utilization > 1.0:
                 high = mid
             else:
                 low = mid
@@ -332,20 +376,6 @@ class AnalyticalSimulator:
 # ----------------------------------------------------------------------
 # Plan helpers
 # ----------------------------------------------------------------------
-def _scaled_plan(plan: QueryPlan, scale: float) -> QueryPlan:
-    """Copy of the plan with all source rates multiplied by ``scale``."""
-    if scale == 1.0:
-        return plan
-    operators = []
-    for operator in plan.operators.values():
-        if isinstance(operator, Source):
-            operators.append(replace(
-                operator, event_rate=max(operator.event_rate * scale, 1e-6)))
-        else:
-            operators.append(operator)
-    return QueryPlan(operators, plan.edges, name=plan.name)
-
-
 def _paths_to_sink(plan: QueryPlan) -> list[list[str]]:
     """All source-to-sink operator paths of the DAG."""
     paths: list[list[str]] = []

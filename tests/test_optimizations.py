@@ -215,3 +215,10 @@ class TestBudgetedOptimizer:
             model, latency_budget_ms=1e-6).optimize(
             plan, small_cluster, n_candidates=15, seed=1)
         assert tight.feasible_candidates <= loose.feasible_candidates
+
+    def test_empty_enumeration_raises_before_scoring(self, model,
+                                                     small_cluster):
+        optimizer = BudgetedPlacementOptimizer(model)
+        with pytest.raises(ValueError, match="no candidates"):
+            optimizer.optimize(_chain_plan((0.5, 0.4)), small_cluster,
+                               n_candidates=0)

@@ -130,6 +130,22 @@ class TestAnnotations:
         second = linear_plan.annotations()
         assert first is second
 
+    def test_scale_throttles_sources_without_memoizing(self, linear_plan):
+        half = linear_plan.annotations(0.5)
+        assert half["src1"].output_rate == 500.0
+        assert half["sink"].output_rate == pytest.approx(200.0)
+        assert half["src1"].output_schema \
+            == linear_plan.annotations()["src1"].output_schema
+        assert linear_plan.annotations(0.5) is not half
+        assert linear_plan.annotations(1.0) is linear_plan.annotations()
+        # Scaled source rates are floored at 1e-6 tuples/second.
+        assert linear_plan.annotations(1e-12)["src1"].output_rate == 1e-6
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, linear_plan, scale):
+        with pytest.raises(ValueError, match="finite"):
+            linear_plan.annotations(scale)
+
     def test_higher_selectivity_more_output(self):
         def rate(selectivity):
             ops = [_source(), Filter("f", "<", DataType.INT, selectivity),

@@ -214,8 +214,8 @@ class TestSustainableScale:
         nominal = simulator.snapshot(plan, placement, cluster, 1.0)
         assert nominal.max_utilization > 1.0
         efficiency = {n: 1.0 for n in cluster.node_ids}
-        scale = simulator._sustainable_scale(plan, placement, cluster,
-                                             nominal, efficiency)
+        scale = simulator._sustainable_scale(
+            simulator._placed(plan, placement, cluster, efficiency), nominal)
         at_scale = simulator.snapshot(plan, placement, cluster, scale,
                                       efficiency)
         assert at_scale.max_utilization == pytest.approx(1.0, abs=0.05)
