@@ -2,9 +2,9 @@
 
 Times the optimized hot paths against faithful slow-path replicas and
 asserts that every fast path is numerically equivalent to its replica
-(deltas within 1e-9, decisions agree, stacked training bitwise) at
-every scale.  Speedups are reported, not asserted: wall-clock ratios
-measured inside a long pytest run are too noisy to gate on.  The
+(deltas within 1e-9, decisions agree) at every scale.  Speedups are
+reported, not asserted: wall-clock ratios measured inside a long
+pytest run are too noisy to gate on.  The
 speedup floors live in ``scripts/check_perf_regression.py``, which
 gates a fresh-process ``scripts/bench_hotpaths.py`` run (the CI
 perf-gate job and the nightly).
@@ -48,9 +48,6 @@ def test_perf_hotpaths(benchmark, context, report, tmp_path):
         {"path": "epoch",
          "speedup": results["epoch"]["speedup"],
          "fast": f"{results['epoch']['fast_s_per_epoch']:.2f} s"},
-        {"path": "ensemble_train",
-         "speedup": results["ensemble_train"]["speedup"],
-         "fast": f"{results['ensemble_train']['stacked_s_per_epoch']:.2f} s"},
     ], title="Hot-path speedups (vs pre-optimization code)")
 
     # Correctness is asserted at every scale: the fast path must be a
@@ -69,10 +66,3 @@ def test_perf_hotpaths(benchmark, context, report, tmp_path):
     assert collation["float64_max_abs_delta"] <= EQUIVALENCE_TOLERANCE
     assert collation["fields_equal"]
     assert collation["chosen_identical"]
-    # ISSUE-5: the stacked K-member training step must reproduce the
-    # sequential member loop EXACTLY under the shared schedule — loss
-    # trajectories (delta 0.0) and final parameters.
-    train = results["ensemble_train"]
-    assert train["max_abs_train_loss_delta"] == 0.0
-    assert train["histories_equal"]
-    assert train["params_equal"]

@@ -15,21 +15,21 @@ agree within 1e-9.
 
 ``--profile`` additionally prints a cProfile top-20 (cumulative time)
 of one fast-path placement decision, to locate future regressions.
+BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` /
+``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS`` say otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-from repro.experiments.hotpaths import (profile_decision,  # noqa: E402
-                                        run_hotpath_benchmarks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -45,6 +45,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="print cProfile top-20s of one placement "
                              "decision and one decision wave")
     args = parser.parse_args(argv)
+    # One BLAS thread unless the caller says otherwise, set before
+    # numpy is first imported: BLAS helper threads compete for the
+    # host's cores and move the measured ratios from run to run.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    from repro.experiments.hotpaths import (profile_decision,
+                                            run_hotpath_benchmarks)
 
     if args.profile:
         profile_decision(args.scale)
@@ -97,12 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"epoch:     {epoch['speedup']:6.1f}x "
           f"({epoch['fast_s_per_epoch']:.2f} s/epoch, "
           f"{epoch['n_graphs']} graphs)")
-    train = results["ensemble_train"]
-    print(f"ens-train: {train['speedup']:6.2f}x stacked K="
-          f"{train['ensemble_size']} "
-          f"({1e3 * train['stacked_s_per_epoch']:.0f} ms/epoch, "
-          f"loss delta {train['max_abs_train_loss_delta']:.1e}, "
-          f"params equal: {train['params_equal']})")
     print(f"equivalence: max|delta|={results['equivalence']['max_abs_delta']:.2e}"
           f" pass={results['equivalence']['pass']}")
     print(f"wrote {args.out}")

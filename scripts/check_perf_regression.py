@@ -7,8 +7,7 @@ Usage::
         [--baseline BENCH_hotpaths.json] \
         [--decision-floor 5.0] [--epoch-floor 2.0] [--collate-floor 2.0] \
         [--ensemble-floor 0.8] \
-        [--candidate-collation-floor 2.0] [--train-floor 1.3] \
-        [--tolerance 1e-9]
+        [--candidate-collation-floor 2.0] [--tolerance 1e-9]
 
 Compares a freshly measured benchmark JSON against the committed
 baseline and **fails (exit 1)** when
@@ -29,10 +28,6 @@ baseline and **fails (exit 1)** when
   reference loop, its batches stop matching the reference field for
   field, or the placement chosen from the index-native batch differs
   from the reference batch's choice,
-* the stacked K-member training engine regresses below
-  ``--train-floor`` against the sequential member loop, its per-member
-  loss trajectories stop being bitwise identical to the sequential
-  reference (the delta must be 0.0), or its final parameters diverge,
 * the fast path stops being numerically equivalent to the slow-path
   replicas (``max_abs_delta`` > ``--tolerance``, decisions disagree, or
   the recorded equivalence verdict is False),
@@ -87,12 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ensemble-floor", type=float, default=0.8)
     parser.add_argument("--candidate-collation-floor", type=float,
                         default=2.0)
-    # Measured ~1.45-1.55x at small scale on one core (the stacked
-    # step's scatter/GEMM arithmetic is bitwise-pinned to the
-    # per-member kernels — see PERFORMANCE.md's training section for
-    # the Amdahl cap); the floor guards the amortization win, not the
-    # aspiration.
-    parser.add_argument("--train-floor", type=float, default=1.3)
     parser.add_argument("--tolerance", type=float, default=1e-9)
     # Generous by default: hosted CI shares noisy cores, so the gate
     # only catches order-of-magnitude stalls; the nightly passes a
@@ -113,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         "collate": args.collate_floor,
         "candidate_collation": args.candidate_collation_floor,
         "ensemble_batched": args.ensemble_floor,
-        "ensemble_train": args.train_floor,
     }
     failures: list[str] = []
 
@@ -195,26 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         if not collation.get("chosen_identical", False):
             failures.append("index-native collation changed the chosen "
                             "placement")
-
-    train = fresh.get("ensemble_train", {})
-    if not train:
-        failures.append("fresh results lack the ensemble_train entry")
-    else:
-        train_delta = float(train.get("max_abs_train_loss_delta",
-                                      float("inf")))
-        print(f"  stacked training     loss delta={train_delta:.2e} "
-              f"(must be 0.0) "
-              f"{'ok' if train_delta == 0.0 else 'FAIL'}")
-        if train_delta != 0.0:
-            failures.append(
-                f"stacked training loss-trajectory delta "
-                f"{train_delta:.2e} is not 0.0")
-        if not train.get("histories_equal", False):
-            failures.append("stacked training histories diverge from "
-                            "the sequential member loop")
-        if not train.get("params_equal", False):
-            failures.append("stacked training final parameters diverge "
-                            "from the sequential member loop")
 
     throughput = fresh.get("decision_throughput", {})
     if not throughput:

@@ -76,38 +76,13 @@ class MetricEnsemble:
 
     def _train(self, graphs, labels, val_graphs=None, val_labels=None,
                epochs=None) -> None:
-        """Train the members: one K-member lock-step run when opted in
-        (``TrainingConfig.member_training == "stacked"`` and the
-        stacked step covers the configuration), K one-member runs
-        under member-seeded schedules otherwise.  The lock-step run
-        draws ONE shared ensemble-seeded schedule; it is bitwise
-        identical to looping ``member.fit`` under that same schedule
-        (:func:`repro.training.fit_members_sequential`, the tested
-        reference)."""
-        if self._stacked_training_supported():
-            # Imported here: repro.training builds on repro.core.
-            from ..training.stacked import StackedTrainer
-
-            StackedTrainer(self.members).fit(graphs, labels,
-                                             val_graphs, val_labels,
-                                             epochs=epochs)
-            return
+        """Train the members one after another, each through
+        ``CostModel.fit`` under its own member-seeded schedule (random
+        initialization plus per-member shuffling, as in Deep
+        Ensembles)."""
         for member in self.members:
             member.fit(graphs, labels, val_graphs, val_labels,
                        epochs=epochs)
-
-    def _stacked_training_supported(self) -> bool:
-        """Whether the opt-in lock-step run covers this ensemble.
-
-        The envelope (the staged scheme, or a single member) has ONE
-        definition, :meth:`StackedTrainer.supported`, so it cannot
-        drift from what the trainer actually accepts.
-        """
-        if self.members[0].config.member_training != "stacked":
-            return False
-        from ..training.stacked import StackedTrainer
-
-        return StackedTrainer(self.members).supported()
 
     # ------------------------------------------------------------------
     # Batched-GEMM member stack

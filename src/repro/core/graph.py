@@ -222,9 +222,8 @@ class StageSlice:
     def flat_src(self, width: int) -> np.ndarray:
         """Like :meth:`flat_seg` for the *backward* scatter: flat
         indices routing per-edge gradients back into the message
-        sources' rows of an ``(n_nodes, width)`` buffer.  Built once
-        per batch and shared — the per-member ``_scatter_add`` would
-        otherwise rebuild it once per member per step."""
+        sources' rows of an ``(n_nodes, width)`` buffer (the training
+        step's backward), built once per batch and cached."""
         cached = self.__dict__.get("_flat_src")
         if cached is None or cached[0] != width:
             flat = (self.edge_src[:, None] * width
@@ -434,55 +433,6 @@ class GraphBatch:
                                  self.n_graphs * width, size)
             cached = ((width, size), flat)
             self.__dict__["_member_flat_gid"] = cached
-        return cached[1]
-
-    def member_train_plan(self, size: int) -> list[tuple]:
-        """Row-tiled staged schedule for the stacked *training* step.
-
-        Flat (stage order) list of ``(node_type, stage, tiled_recv,
-        tiled_src, tiled_seg)`` entries — the gather/update indices of
-        a ``(size * n_nodes, width)`` hidden buffer, tiled at the ROW
-        level only.  Unlike the inference stacks'
-        :meth:`member_stage_plan`, no width-expanded scatter index is
-        tiled across members: a training batch is consumed once, so
-        the ``size * E * width`` flat-index builds would dominate the
-        step — the stacked backward instead loops K bincounts over the
-        batch-cached untiled :meth:`StageSlice.flat_seg` /
-        :meth:`StageSlice.flat_src` indices (cache-hot across
-        members).  ``tiled_seg`` maps each member's edges into the
-        flattened ``(size * n_recv, width)`` view of the per-receiver
-        gradient stack.
-        """
-        cached = self.__dict__.get("_member_train_plan")
-        if cached is None or cached[0] != size:
-            plan = []
-            for slices in (self.ops_to_hw, self.hw_to_ops,
-                           *self.flow_levels):
-                for node_type, stage in slices.items():
-                    if stage.recv_rows.size == 0:
-                        continue
-                    has_edges = stage.edge_src.size > 0
-                    plan.append((
-                        node_type, stage,
-                        _tile_members(stage.recv_rows, self.n_nodes,
-                                      size),
-                        _tile_members(stage.edge_src, self.n_nodes,
-                                      size) if has_edges else None,
-                        _tile_members(stage.edge_seg,
-                                      stage.recv_rows.size, size)
-                        if has_edges else None))
-            cached = (size, plan)
-            self.__dict__["_member_train_plan"] = cached
-        return cached[1]
-
-    def member_graph_rows(self, size: int) -> np.ndarray:
-        """:attr:`graph_id` tiled over ``size`` members (cached) —
-        the readout-gradient gather of the stacked training step."""
-        cached = self.__dict__.get("_member_graph_rows")
-        if cached is None or cached[0] != size:
-            cached = (size, _tile_members(self.graph_id, self.n_graphs,
-                                          size))
-            self.__dict__["_member_graph_rows"] = cached
         return cached[1]
 
     def stage_plan(self, width: int, first: int = 0) -> list[list[tuple]]:

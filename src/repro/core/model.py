@@ -290,41 +290,39 @@ class MemberStack:
 
 
 class TrainableMemberStack(MemberStack):
-    """A *live* member stack: K members trained in one batched step.
+    """A *live* one-member stack: the staged training step of one
+    network.
 
     Where :class:`MemberStack` is a read-only inference snapshot, this
-    stack owns gradient-carrying parameter Tensors (``(K, fan_in,
+    stack owns gradient-carrying parameter Tensors (``(1, fan_in,
     fan_out)`` weight stacks, stepped in place by
-    :class:`repro.nn.StackedAdam`) and runs the K members' staged
-    training step as ONE stacked forward/backward per mini-batch
-    (:meth:`loss_and_grad`): stacked GEMMs
-    (:meth:`repro.nn.StackedMLP.backward_array`), shared-index
-    gathers, per-member bincount scatter-adds over one cache-hot flat
-    index, and per-member losses/gradients computed by the exact
-    per-member loss kernel.  Every batched kernel replays the taped
-    kernel per slice, so — fed the same mini-batch — member ``k``'s
-    loss value and every parameter gradient are bitwise identical to
-    the taped forward plus ``loss.backward()`` on ``networks[k]``.  A
-    single cost model trains as a one-member stack
-    (:class:`repro.training.StackedTrainer`).
+    :class:`repro.nn.Adam`) and runs the network's staged training step
+    as one hand-written forward/backward per mini-batch
+    (:meth:`loss_and_grad`): the stacked GEMMs of
+    :meth:`repro.nn.StackedMLP.backward_array`, gathers, bincount
+    scatter-adds and the loss kernel.  Every kernel replays the taped
+    kernel, so — fed the same mini-batch — the loss value and every
+    parameter gradient are bitwise identical to the taped forward plus
+    ``loss.backward()`` on the network.  The training loop
+    (:func:`repro.training.stacked.fit_cost_model`) trains every staged
+    cost model this way.
 
     Validation runs the inherited :meth:`MemberStack.forward_arrays`:
     the stacked weights are live aliases of the parameter Tensors, so
     it always reads the current values.
 
-    Construction *copies* the members' current weights in (preserving
-    each member's seed-derived initialization); the trainer writes
-    member slices back through :meth:`member_state` +
-    ``load_state_dict`` when training ends.  float64 and the ``staged``
-    scheme only.
+    Construction *copies* the network's current weights in (preserving
+    its seed-derived initialization); the trainer writes them back
+    through :meth:`member_state` + ``load_state_dict`` when training
+    ends.  float64 and the ``staged`` scheme only.
     """
 
-    def __init__(self, networks: list[CostreamGNN]):
-        super().__init__(networks, np.float64)
+    def __init__(self, network: CostreamGNN):
+        super().__init__([network], np.float64)
         for mlp in self._stacked_mlps():
             mlp.make_trainable()
         self._member_shapes = [param.data.shape
-                               for param in networks[0].parameters()]
+                               for param in network.parameters()]
 
     def _stacked_mlps(self):
         """Stacked MLPs in :meth:`CostreamGNN.parameters` order."""
@@ -334,47 +332,39 @@ class TrainableMemberStack(MemberStack):
 
     def parameters(self) -> list:
         """Stacked parameter Tensors, ordered so index ``i`` stacks the
-        member networks' ``parameters()[i]``."""
+        network's ``parameters()[i]``."""
         return [param for mlp in self._stacked_mlps()
                 for param in mlp.trainable_parameters()]
 
-    def member_state(self, member: int) -> dict[str, np.ndarray]:
-        """One member's parameter slices as a
-        :meth:`~repro.nn.Module.state_dict` (member-shaped copies)."""
-        return {f"p{i}": param.data[member].reshape(shape).copy()
+    def member_state(self) -> dict[str, np.ndarray]:
+        """The member's parameters as a
+        :meth:`~repro.nn.Module.state_dict` (network-shaped copies)."""
+        return {f"p{i}": param.data.reshape(shape).copy()
                 for i, (param, shape)
                 in enumerate(zip(self.parameters(),
                                  self._member_shapes))}
 
     # ------------------------------------------------------------------
     def loss_and_grad(self, batch: GraphBatch, labels: np.ndarray,
-                      loss_kind: str) -> np.ndarray:
-        """One stacked training step; returns the ``(K,)`` loss values.
+                      loss_kind: str) -> float:
+        """One training step; returns the loss value.
 
         Forward and backward are written out by hand, replaying the
         taped path's kernels (the backward in the exact order the tape
-        would run it).  The K members' hidden states live in one
-        ``(K * n_nodes, hidden)`` buffer so every gather and row
-        update is a fast axis-0 fancy index over row-tiled node indices
-        (:meth:`~repro.core.graph.GraphBatch.member_train_plan` — row
-        tiling only: the ``size * E * width`` flat-index expansion the
-        inference stacks cache would never amortize on a batch that is
-        consumed once).  Every GEMM runs stacked over the ``(K, n,
-        d)`` member axis (:class:`repro.nn.StackedMLP` — per-slice
-        bitwise identical to the per-member GEMMs); every scatter-add
-        loops the per-member bincount kernel over the batch-cached
-        untiled flat index (cache-hot across members), so the
-        per-member equivalence is literal.  Losses and output
-        gradients come from the per-member loss kernel; gradients
-        accumulate into the stacked parameter Tensors.
+        would run it) on one ``(n_nodes, hidden)`` hidden buffer.
+        Every GEMM runs on the ``(1, n, d)`` member stack
+        (:class:`repro.nn.StackedMLP`, bitwise identical to the taped
+        2-D GEMMs), every scatter-add is the taped bincount kernel over
+        the batch-cached flat indices (:meth:`StageSlice.flat_seg` /
+        :meth:`StageSlice.flat_src`), and the loss value and output
+        gradient come from the taped loss kernel; gradients accumulate
+        into the stacked parameter Tensors.
         """
-        size = self.size
         hidden_dim = self.hidden_dim
         n_nodes = batch.n_nodes
-        hidden = np.zeros((size * n_nodes, hidden_dim))
-        hidden3 = hidden.reshape(size, n_nodes, hidden_dim)
+        hidden = np.zeros((n_nodes, hidden_dim))
         encode_cache = []
-        for node_type, rows in batch.member_type_rows(size).items():
+        for node_type, rows in batch.type_rows.items():
             out, cache = self.encoders[node_type].forward_array_cached(
                 batch.type_features[node_type])
             hidden[rows] = out.reshape(-1, hidden_dim)
@@ -382,51 +372,43 @@ class TrainableMemberStack(MemberStack):
 
         update_cache = []
         combiners = self.combiners
-        for entry in batch.member_train_plan(size):
-            node_type, stage, recv, src, _ = entry
-            n_recv = stage.recv_rows.size
-            if src is not None:
-                messages = hidden[src].reshape(size, -1, hidden_dim)
-                flat_seg = stage.flat_seg(hidden_dim)
-                aggregated = np.empty((size, n_recv, hidden_dim))
-                for k in range(size):
-                    aggregated[k] = _flat_scatter_add(
-                        flat_seg, messages[k], n_recv)
-            else:
-                aggregated = np.zeros((size, n_recv, hidden_dim))
-            own = hidden[recv].reshape(size, n_recv, hidden_dim)
-            combined = np.concatenate([aggregated, own], axis=-1)
-            out, cache = combiners[node_type].forward_array_cached(
-                combined)
-            hidden[recv] = out.reshape(-1, hidden_dim)
-            update_cache.append((entry, cache))
+        for slices in (batch.ops_to_hw, batch.hw_to_ops,
+                       *batch.flow_levels):
+            for node_type, stage in slices.items():
+                recv = stage.recv_rows
+                n_recv = recv.size
+                if n_recv == 0:
+                    continue
+                if stage.edge_src.size:
+                    aggregated = _flat_scatter_add(
+                        stage.flat_seg(hidden_dim),
+                        hidden[stage.edge_src], n_recv)
+                else:
+                    aggregated = np.zeros((n_recv, hidden_dim))
+                combined = np.concatenate(
+                    [aggregated.reshape(1, n_recv, hidden_dim),
+                     hidden[recv].reshape(1, n_recv, hidden_dim)],
+                    axis=-1)
+                out, cache = combiners[node_type].forward_array_cached(
+                    combined)
+                hidden[recv] = out.reshape(-1, hidden_dim)
+                update_cache.append((node_type, stage, cache))
 
-        flat_gid = batch.flat_graph_id(hidden_dim)
-        pooled = np.empty((size, batch.n_graphs, hidden_dim))
-        for k in range(size):
-            pooled[k] = _flat_scatter_add(flat_gid, hidden3[k],
-                                          batch.n_graphs)
-        raw, readout_cache = self.readout.forward_array_cached(pooled)
-        pred = np.squeeze(raw, axis=-1).reshape(size, -1)
-        losses = np.empty(size)
-        grad_pred = np.empty_like(pred)
-        for k in range(size):
-            # The per-member loss kernel on the member's contiguous
-            # prediction slice: values and gradients are the per-member
-            # step's, by construction.
-            losses[k], grad_pred[k] = _loss_and_grad_arrays(
-                pred[k], labels, loss_kind)
+        pooled = _flat_scatter_add(batch.flat_graph_id(hidden_dim),
+                                   hidden, batch.n_graphs)
+        raw, readout_cache = self.readout.forward_array_cached(
+            pooled.reshape(1, batch.n_graphs, hidden_dim))
+        loss, grad_pred = _loss_and_grad_arrays(raw[0, :, 0], labels,
+                                                loss_kind)
 
         grad_pooled = self.readout.backward_array(
-            grad_pred[:, :, None], readout_cache)
-        grad_hidden = grad_pooled.reshape(-1, hidden_dim)[
-            batch.member_graph_rows(size)]
-        grad_hidden3 = grad_hidden.reshape(size, n_nodes, hidden_dim)
-        own_dense = np.zeros((size * n_nodes, hidden_dim))
-        for entry, cache in reversed(update_cache):
-            node_type, stage, recv, src, seg = entry
-            grad_updated = grad_hidden[recv].reshape(
-                size, stage.recv_rows.size, hidden_dim)
+            grad_pred[None, :, None], readout_cache)
+        grad_hidden = grad_pooled.reshape(-1, hidden_dim)[batch.graph_id]
+        own_dense = np.zeros((n_nodes, hidden_dim))
+        for node_type, stage, cache in reversed(update_cache):
+            recv = stage.recv_rows
+            grad_updated = grad_hidden[recv].reshape(1, recv.size,
+                                                     hidden_dim)
             grad_hidden[recv] = 0.0
             grad_combined = combiners[node_type].backward_array(
                 grad_updated, cache)
@@ -440,32 +422,29 @@ class TrainableMemberStack(MemberStack):
                 .reshape(-1, hidden_dim)
             grad_hidden += own_dense
             own_dense[recv] = 0.0
-            if src is not None:
+            if stage.edge_src.size:
                 grad_agg = grad_combined[:, :, :hidden_dim]
-                grad_messages = grad_agg.reshape(-1, hidden_dim)[seg] \
-                    .reshape(size, -1, hidden_dim)
-                flat_src = stage.flat_src(hidden_dim)
-                for k in range(size):
-                    grad_hidden3[k] += _flat_scatter_add(
-                        flat_src, grad_messages[k], n_nodes)
+                grad_hidden += _flat_scatter_add(
+                    stage.flat_src(hidden_dim),
+                    grad_agg.reshape(-1, hidden_dim)[stage.edge_seg],
+                    n_nodes)
         for node_type, rows, cache in reversed(encode_cache):
             self.encoders[node_type].backward_array(
-                grad_hidden[rows].reshape(size, -1, hidden_dim), cache,
+                grad_hidden[rows].reshape(1, -1, hidden_dim), cache,
                 input_grad=False)
-        return losses
+        return loss
 
-    def loss_over_batches(self, pairs, loss_kind: str) -> np.ndarray:
-        """``(K,)`` mean losses over pre-collated ``(batch, labels)``
-        pairs — the stacked mirror of
+    def loss_over_batches(self, pairs, loss_kind: str) -> float:
+        """Mean loss over pre-collated ``(batch, labels)`` pairs — the
+        array mirror of
         :meth:`~repro.core.training.CostModel._loss_over_batches`
         (same per-batch loss values, same graph-count-weighted
-        accumulation order per member)."""
-        total = np.zeros(self.size)
+        accumulation order)."""
+        total = 0.0
         count = 0
         for batch, chunk_labels in pairs:
-            raw = self.forward_arrays(batch).reshape(self.size, -1)
-            for member in range(self.size):
-                loss = _loss_arrays(raw[member], chunk_labels, loss_kind)
-                total[member] += loss * batch.n_graphs
+            raw = self.forward_arrays(batch)[0]
+            total += _loss_arrays(raw, chunk_labels, loss_kind) \
+                * batch.n_graphs
             count += batch.n_graphs
         return total / max(count, 1)

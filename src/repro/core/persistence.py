@@ -10,7 +10,7 @@ training hyper-parameters) plus one array per network parameter.
 building blocks underneath — a JSON header plus named arrays in one
 ``.npz``, written **atomically** (temp file + ``os.replace``) so a
 process killed mid-write can never leave a truncated checkpoint
-behind.  The training loop (``StackedTrainer.fit``, which
+behind.  The training loop (``fit_cost_model``, which
 ``CostModel.fit`` runs) builds its epoch-granular resume on them
 (PERFORMANCE.md §13).
 """
@@ -36,7 +36,7 @@ _HEADER_KEY = "__costream_header__"
 _CHECKPOINT_HEADER_KEY = "__checkpoint_header__"
 #: Bumped whenever an older header's ``config`` no longer loads into
 #: :class:`TrainingConfig`, so old files fail with a clear message.
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def save_checkpoint(path: str | Path, header: dict,

@@ -4,13 +4,14 @@ Each of the five cost metrics gets its own GNN (Section IV-A): MSLE
 loss for the regression metrics (throughput, latencies), binary cross
 entropy for backpressure occurrence and query success.  Training uses
 Adam with gradient clipping, mini-batched graph collation, and early
-stopping on a validation split.  A single model trains through the
-same loop as an ensemble — :class:`repro.training.StackedTrainer`
-with one member.
+stopping on a validation split, in the one training loop
+(:func:`repro.training.stacked.fit_cost_model`); an ensemble trains
+each member through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +21,13 @@ from ..nn import Tensor, bce_with_logits_loss, mse_loss, msle_loss, \
 from ..simulator.result import METRIC_NAMES, REGRESSION_METRICS
 from .features import Featurizer
 from .graph import GraphBatch, QueryGraph, as_batches
-from .model import CostreamGNN
+from .model import MESSAGE_SCHEMES, CostreamGNN
 
 __all__ = ["TrainingConfig", "CostModel", "TrainingHistory",
            "paired_batches", "holdout_size", "resolve_loss_kind"]
+
+
+_LOSSES = ("auto", "msle", "mse", "bce")
 
 
 def _oversampled_pool(labels: np.ndarray) -> np.ndarray:
@@ -76,7 +80,11 @@ def resolve_loss_kind(config: "TrainingConfig",
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyper-parameters for one cost-model training run."""
+    """Hyper-parameters for one cost-model training run.
+
+    A value no run can train with raises ``ValueError`` naming the
+    field at construction.
+    """
 
     hidden_dim: int = 48
     epochs: int = 60
@@ -91,16 +99,32 @@ class TrainingConfig:
     scheme: str = "staged"      # or "traditional" (Exp 7b)
     loss: str = "auto"          # "msle" | "mse" | "bce" | "auto"
     balance_classes: bool = True  # oversample minority class (binary)
-    #: How :class:`~repro.core.ensemble.MetricEnsemble` trains its
-    #: members — two different training runs of the one loop:
-    #: ``"per_member"`` (the historical default: K ``CostModel.fit``
-    #: runs, each a one-member stack under its own member-seeded
-    #: schedule) or ``"stacked"`` (one
-    #: :class:`repro.training.StackedTrainer` run: one shared
-    #: ensemble-seeded schedule, all K members stepped in one
-    #: batched-GEMM forward/backward per mini-batch — bitwise
-    #: identical to K one-member runs under that shared schedule).
-    member_training: str = "per_member"
+
+    def __post_init__(self):
+        for name in ("hidden_dim", "epochs", "batch_size",
+                     "lr_decay_every", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainingConfig.{name} must be at "
+                                 f"least 1, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "lr_decay", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"TrainingConfig.{name} must be finite "
+                                 f"and positive, got {value!r}")
+        if not (math.isfinite(self.weight_decay)
+                and self.weight_decay >= 0.0):
+            raise ValueError(f"TrainingConfig.weight_decay must be finite "
+                             f"and non-negative, got "
+                             f"{self.weight_decay!r}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"TrainingConfig.val_fraction must be in "
+                             f"[0, 1), got {self.val_fraction!r}")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"TrainingConfig.loss must be one of "
+                             f"{_LOSSES}, got {self.loss!r}")
+        if self.scheme not in MESSAGE_SCHEMES:
+            raise ValueError(f"TrainingConfig.scheme must be one of "
+                             f"{MESSAGE_SCHEMES}, got {self.scheme!r}")
 
 
 @dataclass
@@ -152,15 +176,12 @@ class CostModel:
             on_epoch_end=None) -> TrainingHistory:
         """Train until convergence or the epoch budget is exhausted.
 
-        Runs the one training loop, :meth:`repro.training.
-        StackedTrainer.fit`, with this model as its only member: a
-        one-member stack for the staged scheme, the tape for
-        ``traditional``.  Without a ``schedule`` (a
-        :class:`repro.training.BatchSchedule`) the split and the
-        per-epoch shuffles are drawn from ``BatchSchedule(self.seed)``;
-        passing one shared schedule to K members is how they train
-        comparably — K such runs are bitwise identical to one
-        K-member lock-step run under that schedule.
+        Runs the one training loop, :func:`repro.training.stacked.
+        fit_cost_model`, on this model: a one-member stack for the
+        staged scheme, the tape for ``traditional``.  Without a
+        ``schedule`` (a :class:`repro.training.BatchSchedule`) the
+        split and the per-epoch shuffles are drawn from
+        ``BatchSchedule(self.seed)``.
 
         ``checkpoint_path`` enables epoch-granular crash recovery
         (PERFORMANCE.md §13): every ``checkpoint_every`` epochs the
@@ -178,14 +199,13 @@ class CostModel:
         raise ``ValueError`` before any draw or collation.
         """
         # Imported here: repro.training builds on repro.core.
-        from ..training.stacked import StackedTrainer
+        from ..training.stacked import fit_cost_model
 
-        StackedTrainer([self]).fit(
-            graphs, labels, val_graphs, val_labels, epochs=epochs,
+        return fit_cost_model(
+            self, graphs, labels, val_graphs, val_labels, epochs=epochs,
             schedule=schedule, checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every, resume=resume,
             on_epoch_end=on_epoch_end)
-        return self.history
 
     def fine_tune(self, graphs: list[QueryGraph], labels: np.ndarray,
                   epochs: int = 15) -> TrainingHistory:

@@ -46,7 +46,6 @@ from ..query.generator import QueryGenerator
 from ..query.plan import QueryPlan
 from ..serving import (ClusterMonitor, DecisionBatcher, DecisionRequest,
                        ServingLoop)
-from ..training import BatchSchedule, StackedTrainer
 from .scale import ExperimentScale, get_scale
 
 __all__ = ["run_hotpath_benchmarks", "EQUIVALENCE_TOLERANCE",
@@ -727,89 +726,6 @@ def _bench_epoch(dataset: GraphDataset, scale: ExperimentScale,
     }
 
 
-def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
-                          n_epochs: int, repeats: int = 3) -> dict:
-    """One K-member lock-step run vs K separate one-member runs.
-
-    Both sides train the same K freshly initialized members on the
-    same schedule *draws*: every member fits under a
-    :class:`~repro.training.BatchSchedule` seeded identically, so the
-    splits, shuffles and mini-batches are the same everywhere and the
-    runs are bitwise comparable.  The sequential side is K separate
-    runs of the one training loop with a single member each
-    (``CostModel.fit``), each under its OWN schedule instance — K
-    independent collation passes, exactly the cost the default
-    per-member ``MetricEnsemble.fit`` pays — while the stacked side
-    shares one schedule across the ensemble, so the ratio measures
-    the full lock-step change: shared collation plus one batched-GEMM
-    forward/backward and one stacked Adam step per mini-batch instead
-    of K.  Equivalence is asserted bitwise:
-    per-member train/val loss trajectories must be identical (delta
-    0.0) and the final parameters must match array-for-array.
-    """
-    graphs, labels = dataset.metric_view("processing_latency")
-    size = 3
-    config = TrainingConfig(hidden_dim=scale.hidden_dim,
-                            epochs=n_epochs, patience=n_epochs + 1)
-
-    def members():
-        return [CostModel("processing_latency", config=config,
-                          seed=1000 * i) for i in range(size)]
-
-    runs: dict[str, list] = {}
-
-    def run_stacked():
-        trained = members()
-        StackedTrainer(trained).fit(graphs, labels,
-                                    schedule=BatchSchedule(0))
-        runs["stacked"] = trained
-
-    def run_sequential():
-        trained = members()
-        # One schedule instance per member: same draws (seed 0), but
-        # each member collates its own batches — the pre-stacking cost.
-        for member in trained:
-            member.fit(graphs, labels, schedule=BatchSchedule(0))
-        runs["sequential"] = trained
-
-    run_stacked()  # warm graph-array/plan caches outside the clock
-    run_sequential()
-    stacked_s, sequential_s = _interleaved(run_stacked, run_sequential,
-                                           repeats)
-    loss_delta = 0.0
-    histories_equal = True
-    params_equal = True
-    for stacked, sequential in zip(runs["stacked"], runs["sequential"]):
-        for field in ("train_loss", "val_loss"):
-            fast = np.asarray(getattr(stacked.history, field))
-            slow = np.asarray(getattr(sequential.history, field))
-            if fast.shape != slow.shape:
-                histories_equal = False
-                loss_delta = float("inf")
-                continue
-            if fast.size:
-                loss_delta = max(loss_delta,
-                                 float(np.max(np.abs(fast - slow))))
-            histories_equal &= bool(np.array_equal(fast, slow))
-        fast_state = stacked.network.state_dict()
-        slow_state = sequential.network.state_dict()
-        params_equal &= all(np.array_equal(fast_state[key],
-                                           slow_state[key])
-                            for key in slow_state)
-
-    return {
-        "ensemble_size": size,
-        "n_graphs": len(graphs),
-        "n_epochs": n_epochs,
-        "stacked_s_per_epoch": stacked_s / n_epochs,
-        "sequential_s_per_epoch": sequential_s / n_epochs,
-        "speedup": sequential_s / max(stacked_s, 1e-12),
-        "max_abs_train_loss_delta": loss_delta,
-        "histories_equal": bool(histories_equal),
-        "params_equal": bool(params_equal),
-    }
-
-
 def run_hotpath_benchmarks(scale_name: str | None = None,
                            seed: int = 7) -> dict:
     """Run all hot-path benchmarks; returns the ``BENCH_hotpaths`` dict."""
@@ -855,14 +771,9 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
                                                   8))
     gc.collect()
     epoch_result = _bench_epoch(dataset, scale, n_epochs=sizes["epochs"])
-    gc.collect()
-    train_result = _bench_ensemble_train(dataset, scale,
-                                         n_epochs=sizes["epochs"],
-                                         repeats=sizes["repeats"] + 1)
 
     max_delta = max(decision_result["max_abs_prediction_delta"],
                     epoch_result["max_abs_train_loss_delta"],
-                    train_result["max_abs_train_loss_delta"],
                     ensemble_result["float64_max_abs_delta"],
                     throughput_result["float64_max_abs_delta"],
                     collation_result["float64_max_abs_delta"])
@@ -870,8 +781,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
                            and throughput_result["decisions_agree"]
                            and collation_result["fields_equal"]
                            and collation_result["chosen_identical"]
-                           and train_result["histories_equal"]
-                           and train_result["params_equal"]
                            and churn_result["deterministic"])
     float32_ok = (ensemble_result["float32_max_rel_delta"]
                   <= FLOAT32_TOLERANCE
@@ -888,7 +797,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
         "churn_repair": churn_result,
         "ensemble_batched": ensemble_result,
         "epoch": epoch_result,
-        "ensemble_train": train_result,
         "equivalence": {
             "tolerance": EQUIVALENCE_TOLERANCE,
             "max_abs_delta": max_delta,
@@ -909,11 +817,6 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
             "epoch_speedup": 2.0,
             "collate_speedup": 2.0,
             "candidate_collation_speedup": 2.0,
-            # The nightly gate floor: measured ~1.45-1.55x at small
-            # scale on one core (bitwise-pinned arithmetic — see the
-            # PERFORMANCE.md training section), floored with noise
-            # headroom.
-            "ensemble_train_speedup": 1.3,
         },
     }
 

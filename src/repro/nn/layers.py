@@ -253,7 +253,7 @@ class StackedMLP:
         return active_backend().mlp_forward(self.weights, self.biases, x)
 
     # ------------------------------------------------------------------
-    # Trainable stacks (the K-member batched training step)
+    # Trainable stacks (the staged training step, one member)
     # ------------------------------------------------------------------
     def make_trainable(self) -> "StackedMLP":
         """Wrap the weight stacks in gradient-carrying Tensors.

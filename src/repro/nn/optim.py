@@ -9,8 +9,7 @@ import numpy as np
 from .autodiff import Tensor
 from .backend import active_backend
 
-__all__ = ["SGD", "Adam", "StackedAdam", "clip_grad_norm",
-           "stacked_clip_grad_norm"]
+__all__ = ["SGD", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:
@@ -58,43 +57,6 @@ class SGD:
             param.zero_grad()
 
 
-def stacked_clip_grad_norm(params: Sequence[Tensor], max_norm: float,
-                           size: int) -> np.ndarray:
-    """Per-member gradient clipping over ``(size, ...)`` stacked params.
-
-    The member-stacked mirror of :func:`clip_grad_norm`: member ``k``'s
-    norm sums ``(param.grad[k] ** 2).sum()`` over the params in the
-    same order, and only members exceeding ``max_norm`` have their
-    gradient slices scaled.  Each member's squared sum reduces its own
-    contiguous block (the tail axes of a C-contiguous stack), so norms
-    and scaled gradients are bitwise identical to clipping the members
-    one at a time.  With ``size == 1`` the params may also be plain
-    member-shaped Tensors (the taped training step); that case is
-    :func:`clip_grad_norm` itself, which skips the per-member array
-    bookkeeping.  Returns the ``(size,)`` pre-clip norms.
-    """
-    if size == 1:
-        return np.array([clip_grad_norm(params, max_norm)])
-    kernel = active_backend()
-    totals = np.zeros(size)
-    for param in params:
-        if param.grad is not None:
-            totals += kernel.member_sumsq(param.grad, size)
-    norms = np.sqrt(totals)
-    clip = (norms > max_norm) & (norms > 0.0)
-    if clip.any():
-        # One full per-member scale vector: unclipped members scale by
-        # 1.0 (``x * 1.0 == x``), so no gradient is copied through a
-        # boolean mask.
-        scales = np.divide(max_norm, norms, out=np.ones(size),
-                           where=clip)
-        for param in params:
-            if param.grad is not None:
-                param.grad *= scales.reshape(
-                    (-1,) + (1,) * (param.grad.ndim - 1))
-    return norms
-
-
 class Adam:
     """Adam optimizer (Kingma & Ba) with decoupled weight decay."""
 
@@ -130,36 +92,3 @@ class Adam:
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
-
-
-class StackedAdam(Adam):
-    """Adam over ``(K, ...)`` member-stacked parameter Tensors.
-
-    Adam is elementwise, so stepping a stacked parameter updates every
-    member's slice with exactly the arithmetic (and the exact in-place
-    scratch-buffer expressions) a per-member :class:`Adam` would apply —
-    member ``k``'s parameters, first and second moments after ``t``
-    steps are bitwise identical to running K separate optimizers for
-    ``t`` steps each.  The subclass only adds the member axis
-    bookkeeping: :meth:`member_state` exposes one member's slices for
-    the equivalence tests, and ``size`` records K.
-    """
-
-    def __init__(self, params: Sequence[Tensor], size: int,
-                 lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr=lr, betas=betas, eps=eps,
-                         weight_decay=weight_decay)
-        self.size = size
-        for param in self.params:
-            if param.data.shape[0] != size:
-                raise ValueError(
-                    f"stacked parameter leads with {param.data.shape[0]} "
-                    f"members, expected {size}")
-
-    def member_state(self, member: int) -> list[tuple[np.ndarray,
-                                                      np.ndarray]]:
-        """Per-parameter ``(m, v)`` moment slices of one member."""
-        return [(m[member], v[member])
-                for m, v in zip(self._m, self._v)]

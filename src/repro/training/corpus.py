@@ -1,26 +1,15 @@
 """Shared training corpus and mini-batch schedules.
 
-Training one metric's K-member ensemble used to pay featurization and
-collation K times over: every member re-collated the same mini-batches
-from the same graphs.  Two small objects remove that:
-
-* :class:`BatchSchedule` — ONE deterministic source for the train/val
-  split and the per-epoch mini-batch permutations, shared by every
-  member of an ensemble (and by the stacked trainer).  It also caches
-  the collated validation batches, so every epoch's validation pass
-  (of every member) reuses one collation.
+* :class:`BatchSchedule` — one training run's deterministic source for
+  the train/val split and the per-epoch mini-batch permutations.  It
+  also caches the collated validation batches, so every epoch's
+  validation pass reuses one collation.
 * :class:`TrainingCorpus` — a :class:`~repro.core.dataset.GraphDataset`
   wrapper that featurizes a trace corpus once and serves cached metric
   views to every ensemble; :meth:`repro.core.costream.Costream.fit`
   and :meth:`~repro.core.costream.Costream.fine_tune` both route
   through it (one graph build for all five metrics, for initial
   training and few-shot adaptation alike).
-
-A schedule makes K-member training *comparable*: under a shared
-schedule, one K-member lock-step run and K one-member
-``CostModel.fit`` runs consume identical splits, identical epoch
-orders and identical collated batches, so their loss trajectories and
-final parameters can be (and are) asserted bitwise equal.
 """
 
 from __future__ import annotations
@@ -36,17 +25,18 @@ __all__ = ["BatchSchedule", "TrainingCorpus"]
 
 
 class BatchSchedule:
-    """A deterministic, shareable mini-batch schedule.
+    """A deterministic mini-batch schedule: one training run's RNG
+    stream.
 
     The training loop's RNG draws — one permutation for the train/val
     split, then one permutation per epoch over the (possibly
     oversampled) sample pool — from a single
     ``np.random.default_rng(seed)`` stream, generated lazily and
-    cached so every consumer sees the same sequence regardless of who
-    asks first.  The collated validation pairs are cached alongside.
-    Train batches are not: a stacked fit reads each row set once, and
-    collation is deterministic, so a fresh collation per mini-batch
-    keeps memory flat without changing a bit.
+    cached, so a fresh schedule with the same seed replays the same
+    sequence (a resumed fit relies on this).  The collated validation
+    pairs are cached alongside.  Train batches are not: a fit reads
+    each row set once, and collation is deterministic, so a fresh
+    collation per mini-batch keeps memory flat without changing a bit.
     """
 
     def __init__(self, seed: int):
@@ -75,7 +65,7 @@ class BatchSchedule:
                     ) -> np.ndarray:
         """Row order of one epoch: ``sample_pool`` permuted by that
         epoch's draw (epoch permutations are drawn in epoch order and
-        cached, so members replaying from epoch 0 see the same
+        cached, so a run resumed at a later epoch sees the same
         sequence)."""
         while len(self._epoch_perms) <= epoch:
             self._epoch_perms.append(

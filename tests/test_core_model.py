@@ -100,9 +100,9 @@ class TestBackward:
 
 
 class TestManualStep:
-    """The stacked step trains every staged model — a single model as a
-    one-member stack.  Per member it must replay the taped forward +
-    ``loss.backward()`` bit for bit, at K=1 and K=3."""
+    """The stacked step trains every staged model as a one-member
+    stack.  It must replay the taped forward + ``loss.backward()`` bit
+    for bit."""
 
     @pytest.mark.parametrize("loss_kind, loss_fn, labels", [
         ("msle", msle_loss, np.array([12.5, 300.0, 0.7])),
@@ -111,24 +111,18 @@ class TestManualStep:
     def test_matches_tape_bitwise(self, graphs, loss_kind, loss_fn,
                                   labels):
         batch = collate(graphs)
-        for seeds in ((0,), (0, 1, 2)):
-            stack = TrainableMemberStack([
-                CostreamGNN(Featurizer("full"), hidden_dim=8, seed=seed)
-                for seed in seeds])
-            losses = stack.loss_and_grad(batch, labels, loss_kind)
-            for k, seed in enumerate(seeds):
-                taped = CostreamGNN(Featurizer("full"), hidden_dim=8,
-                                    seed=seed)
-                loss = loss_fn(taped(batch), labels)
-                loss.backward()
-                assert losses[k] == loss.item()
-                for ours, tape in zip(stack.parameters(),
-                                      taped.parameters()):
-                    assert (ours.grad is None) == (tape.grad is None)
-                    if tape.grad is not None:
-                        np.testing.assert_array_equal(
-                            ours.grad[k].reshape(tape.grad.shape),
-                            tape.grad)
+        stack = TrainableMemberStack(
+            CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0))
+        loss_value = stack.loss_and_grad(batch, labels, loss_kind)
+        taped = CostreamGNN(Featurizer("full"), hidden_dim=8, seed=0)
+        loss = loss_fn(taped(batch), labels)
+        loss.backward()
+        assert loss_value == loss.item()
+        for ours, tape in zip(stack.parameters(), taped.parameters()):
+            assert (ours.grad is None) == (tape.grad is None)
+            if tape.grad is not None:
+                np.testing.assert_array_equal(
+                    ours.grad.reshape(tape.grad.shape), tape.grad)
 
 
 class TestMessagePassingSemantics:

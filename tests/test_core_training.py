@@ -9,7 +9,7 @@ from repro.core import (CostModel, GraphDataset, TrainingConfig,
                         balance_classes, classification_accuracy, q_error,
                         q_error_percentiles, split_traces)
 from repro.core.training import _oversampled_pool
-from repro.training import BatchSchedule, StackedTrainer
+from repro.training import BatchSchedule
 
 
 class TestMetrics:
@@ -218,31 +218,43 @@ _BAD_INPUTS = {
 
 class TestFitInputValidation:
     """Malformed training inputs raise ``ValueError`` at the training
-    loop's single entry, naming the problem, before any draw or
-    collation — through ``CostModel.fit`` and ``StackedTrainer.fit``
-    alike."""
+    loop's single entry, ``CostModel.fit``, naming the problem, before
+    any draw or collation."""
 
     @pytest.fixture(scope="class")
     def dataset(self, tiny_corpus):
         return GraphDataset.from_traces(tiny_corpus[:80])
 
-    @pytest.mark.parametrize("entry", ["cost_model", "stacked"])
+    # Single-valued: the parameter keeps the test ids stable.
+    @pytest.mark.parametrize("entry", ["cost_model"])
     @pytest.mark.parametrize("case", list(_BAD_INPUTS))
     def test_rejected_before_training(self, dataset, case, entry):
         metric, make_args, message = _BAD_INPUTS[case]
         args = make_args(*dataset.metric_view(metric))
-        config = TrainingConfig(hidden_dim=8, epochs=3)
-        members = [CostModel(metric, config, seed=seed)
-                   for seed in (0, 1)]
+        model = CostModel(metric, TrainingConfig(hidden_dim=8, epochs=3))
         schedule = BatchSchedule(0)
         with pytest.raises(ValueError, match=message):
-            if entry == "cost_model":
-                members[0].fit(*args, schedule=schedule)
-            else:
-                StackedTrainer(members).fit(*args, schedule=schedule)
+            model.fit(*args, schedule=schedule)
         assert schedule._split_order is None
         assert not schedule._epoch_perms
-        assert all(m.history.train_loss == [] for m in members)
+        assert model.history.train_loss == []
+
+
+class TestTrainingConfigValidation:
+    """A value no run can train with raises at construction, naming
+    the field — not deep inside collation or the first epoch, and not
+    a fit that silently keeps its initial weights."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_dim", 0), ("epochs", 0), ("batch_size", 0),
+        ("lr_decay_every", 0), ("patience", 0),
+        ("learning_rate", float("nan")), ("lr_decay", 0.0),
+        ("grad_clip", -1.0), ("weight_decay", -1e-5),
+        ("val_fraction", -0.1), ("loss", "foo"), ("scheme", "gat"),
+    ])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"TrainingConfig.{field} "):
+            TrainingConfig(**{field: value})
 
 
 class TestPredictEmpty:

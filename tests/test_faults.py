@@ -3,8 +3,7 @@
 The recovery oracle is the repo's bitwise-equivalence discipline: a
 training run killed mid-fit and resumed from its checkpoint must be
 bitwise identical (losses, early stopping, final parameters) to the
-uninterrupted run, for single cost models (staged or traditional) and
-stacked ensembles alike.
+uninterrupted run, for the staged and the traditional scheme alike.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.training import CostModel, TrainingConfig
-from repro.training.stacked import StackedTrainer
 
 # Per-test deadline (enforced by pytest-timeout in CI): a resume that
 # loops instead of finishing must fail, not wedge the suite.
@@ -170,42 +168,3 @@ class TestCheckpointResume:
         second.fit(graphs, labels)
         assert len(first.history.train_loss) == 3
         self._assert_same_model(first, second)
-
-    def test_stacked_kill_and_resume_bitwise(self, train_data,
-                                             tmp_path):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=6, patience=3,
-                                member_training="stacked")
-
-        def members():
-            return [CostModel("processing_latency", config=config,
-                              seed=seed) for seed in (1, 2)]
-
-        reference = members()
-        StackedTrainer(reference).fit(graphs, labels)
-
-        ckpt = tmp_path / "stacked.npz"
-        hook, Killed = self._kill_at(2)
-        killed = members()
-        with pytest.raises(Killed):
-            StackedTrainer(killed).fit(graphs, labels,
-                                       checkpoint_path=ckpt,
-                                       on_epoch_end=hook)
-        resumed = members()
-        StackedTrainer(resumed).fit(graphs, labels,
-                                    checkpoint_path=ckpt, resume=True)
-        for ref_member, res_member in zip(reference, resumed):
-            self._assert_same_model(ref_member, res_member)
-
-    def test_stacked_mismatch_rejected(self, train_data, tmp_path):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=3)
-        ckpt = tmp_path / "stacked.npz"
-        StackedTrainer([CostModel("processing_latency", config=config,
-                                  seed=s) for s in (1, 2)]).fit(
-            graphs, labels, checkpoint_path=ckpt)
-        other = [CostModel("processing_latency", config=config, seed=s)
-                 for s in (5, 6)]
-        with pytest.raises(ValueError, match="does not match"):
-            StackedTrainer(other).fit(graphs, labels,
-                                      checkpoint_path=ckpt, resume=True)

@@ -26,7 +26,7 @@ class TestRoundTrip:
         dataset = GraphDataset.from_traces(tiny_corpus[:15],
                                            trained.featurizer)
         for metric in ("throughput", "backpressure"):
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 trained.predict_metric(metric, dataset.graphs),
                 loaded.predict_metric(metric, dataset.graphs))
 
@@ -66,10 +66,10 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             load_costream(tmp_path / "bad.npz")
 
-    def test_previous_format_version_rejected(self, trained, tmp_path):
-        """A version-1 file (its config still carries the ``dropout``
-        field) fails with the format message, not a ``TypeError``
-        from ``TrainingConfig``."""
+    @staticmethod
+    def _with_old_header(trained, tmp_path, version, field, value):
+        """``trained`` saved under an older format ``version`` whose
+        config still carries ``field``."""
         import json
         path = tmp_path / "model.npz"
         save_costream(trained, path)
@@ -77,72 +77,28 @@ class TestRoundTrip:
             arrays = {k: archive[k] for k in archive.files}
         header = json.loads(
             bytes(arrays["__costream_header__"]).decode())
-        header["format_version"] = 1
-        header["config"]["dropout"] = 0.0
+        header["format_version"] = version
+        header["config"][field] = value
         arrays["__costream_header__"] = np.frombuffer(
             json.dumps(header).encode(), dtype=np.uint8)
-        with (tmp_path / "old.npz").open("wb") as handle:
+        old = tmp_path / f"v{version}.npz"
+        with old.open("wb") as handle:
             np.savez(handle, **arrays)
+        return old
+
+    def test_previous_format_version_rejected(self, trained, tmp_path):
+        """A version-1 file (its config still carries the ``dropout``
+        field) fails with the format message, not a ``TypeError``
+        from ``TrainingConfig``."""
+        old = self._with_old_header(trained, tmp_path, 1, "dropout", 0.0)
         with pytest.raises(ValueError, match="unsupported model format 1"):
-            load_costream(tmp_path / "old.npz")
+            load_costream(old)
 
-
-class TestStackedTrainingRoundTrip:
-    """ISSUE-5: persistence after *stacked* ensemble training."""
-
-    @pytest.fixture(scope="class")
-    def stacked_trained(self, tiny_corpus):
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=3,
-                                member_training="stacked")
-        model = Costream(metrics=("throughput", "backpressure"),
-                         ensemble_size=2, config=config, seed=5)
-        return model.fit(tiny_corpus[:100])
-
-    def test_predictions_bitwise_equal(self, stacked_trained,
-                                       tiny_corpus, tmp_path):
-        path = tmp_path / "stacked.npz"
-        save_costream(stacked_trained, path)
-        loaded = load_costream(path)
-        dataset = GraphDataset.from_traces(tiny_corpus[:15],
-                                           stacked_trained.featurizer)
-        for metric in ("throughput", "backpressure"):
-            np.testing.assert_array_equal(
-                stacked_trained.predict_metric(metric, dataset.graphs),
-                loaded.predict_metric(metric, dataset.graphs))
-
-    def test_member_stacks_rebuilt_after_load(self, stacked_trained,
-                                              tiny_corpus, tmp_path,
-                                              tape_predictions):
-        """Inference stacks must invalidate/rebuild across the round
-        trip: stack predictions equal the members' taped forwards on
-        the loaded model, and re-loading into a warm ensemble is
-        caught by the identity-based staleness sweep."""
-        path = tmp_path / "stacked.npz"
-        save_costream(stacked_trained, path)
-        loaded = load_costream(path)
-        dataset = GraphDataset.from_traces(tiny_corpus[:10],
-                                           stacked_trained.featurizer)
-        ensemble = loaded.ensembles["throughput"]
-        np.testing.assert_array_equal(
-            ensemble._member_predictions(dataset.graphs),
-            tape_predictions(ensemble, dataset.graphs))
-        # Warm the stack, then replace weights via load_state_dict —
-        # the next prediction must serve the fresh weights.
-        warm = ensemble._member_predictions(dataset.graphs)
-        for member, trained_member in zip(
-                ensemble.members,
-                stacked_trained.ensembles["throughput"].members):
-            state = trained_member.network.state_dict()
-            member.network.load_state_dict(
-                {key: value + 0.1 for key, value in state.items()})
-        shifted = ensemble._member_predictions(dataset.graphs)
-        assert not np.array_equal(warm, shifted)
-        np.testing.assert_array_equal(
-            shifted, tape_predictions(ensemble, dataset.graphs))
-
-    def test_member_training_mode_persisted(self, stacked_trained,
-                                            tmp_path):
-        path = tmp_path / "stacked.npz"
-        save_costream(stacked_trained, path)
-        loaded = load_costream(path)
-        assert loaded.config.member_training == "stacked"
+    def test_version_2_rejected(self, trained, tmp_path):
+        """A version-2 file (its config still carries
+        ``member_training``) fails with the format message, not a
+        ``TypeError`` from ``TrainingConfig``."""
+        old = self._with_old_header(trained, tmp_path, 2,
+                                    "member_training", "per_member")
+        with pytest.raises(ValueError, match="unsupported model format 2"):
+            load_costream(old)
