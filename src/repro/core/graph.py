@@ -717,54 +717,62 @@ def _flow_depths(plan: QueryPlan, op_index: dict[str, int]) -> list[int]:
 def collate(graphs: list[QueryGraph]) -> GraphBatch:
     """Merge graphs into one disjoint union with stage index arrays.
 
-    Vectorized: all grouping happens on the per-graph arrays cached on
-    each :class:`QueryGraph`; produces batches identical to
-    :func:`collate_reference` (tested property-style).  Feature
-    matrices come out in the active inference dtype — float32 under
-    :class:`repro.nn.float32_inference`, the native float64 otherwise.
+    Whole-batch array operations on the per-graph arrays cached on each
+    :class:`QueryGraph`, with no loop over the graphs beyond gathering
+    those arrays: graph ``i`` occupies the node rows ``[offsets[i],
+    offsets[i + 1])``, so a type's rows are the positions of its code
+    in the concatenated type codes, each edge array is one
+    concatenation plus one repeated per-graph offset, and the flow
+    depth is one reduction.  Produces batches identical to
+    :func:`collate_reference` (tested property-style), with int64
+    index arrays.  Feature matrices come out in the active inference
+    dtype — float32 under :class:`repro.nn.float32_inference`, the
+    native float64 otherwise; a concatenation of mixed dtypes promotes
+    exactly to float64 first, so the one cast per type equals casting
+    each graph's matrix.
     """
     if not graphs:
         raise ValueError("cannot collate an empty list of graphs")
     target = inference_dtype()
     arrays = [g.arrays for g in graphs]
-    sizes = np.asarray([g.n_nodes for g in graphs], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    sizes = np.asarray([a.type_codes.size for a in arrays],
+                       dtype=np.int64)
+    offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    starts = offsets[:-1]
     n_nodes = int(offsets[-1])
-    graph_id = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
+    graph_id = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
     codes = np.concatenate([a.type_codes for a in arrays])
 
-    features = [a.type_features_as(target) for a in arrays]
     type_rows: dict[str, np.ndarray] = {}
     type_features: dict[str, np.ndarray] = {}
-    for node_type in NODE_TYPES:
-        row_parts = []
-        feature_parts = []
-        for i, a in enumerate(arrays):
-            rows = a.type_rows.get(node_type)
-            if rows is not None:
-                row_parts.append(rows + offsets[i])
-                feature_parts.append(features[i][node_type])
-        if not row_parts:
+    for code, node_type in enumerate(NODE_TYPES):
+        rows = (codes == code).nonzero()[0]
+        if rows.size == 0:
             continue
-        type_rows[node_type] = np.concatenate(row_parts)
-        type_features[node_type] = np.concatenate(feature_parts, axis=0)
+        type_rows[node_type] = rows
+        type_features[node_type] = np.concatenate(
+            [a.type_features[node_type] for a in arrays
+             if node_type in a.type_features],
+            axis=0).astype(target, copy=False)
 
+    placement_shift = np.repeat(
+        starts, [a.placement_src.size for a in arrays])
     placement_src = np.concatenate(
-        [a.placement_src + offsets[i] for i, a in enumerate(arrays)])
+        [a.placement_src for a in arrays]) + placement_shift
     placement_dst = np.concatenate(
-        [a.placement_dst + offsets[i] for i, a in enumerate(arrays)])
-    flow_src = np.concatenate(
-        [a.flow_src + offsets[i] for i, a in enumerate(arrays)])
-    flow_dst = np.concatenate(
-        [a.flow_dst + offsets[i] for i, a in enumerate(arrays)])
+        [a.placement_dst for a in arrays]) + placement_shift
+    flow_shift = np.repeat(starts, [a.flow_src.size for a in arrays])
+    flow_src = np.concatenate([a.flow_src for a in arrays]) + flow_shift
+    flow_dst = np.concatenate([a.flow_dst for a in arrays]) + flow_shift
 
     ops_to_hw = _stage_slices_vec(codes, placement_src, placement_dst,
                                   restrict_types=("host",))
     hw_to_ops = _stage_slices_vec(codes, placement_dst, placement_src,
                                   restrict_types=None)
 
-    max_depth = max(g.max_depth for g in graphs)
     depth = np.concatenate([a.depth for a in arrays])
+    max_depth = int(depth.max())
     dst_depth = depth[flow_dst]
     flow_levels: list[dict[str, StageSlice]] = []
     for level in range(1, max_depth + 1):
@@ -801,12 +809,12 @@ def _stage_slices_vec(codes: np.ndarray, edge_src: np.ndarray,
     slices: dict[str, StageSlice] = {}
     types = restrict_types or NODE_TYPES
     dst_codes = codes[edge_dst] if edge_dst.size else _EMPTY_INDEX
-    present = set(np.unique(dst_codes).tolist())
+    present = np.bincount(dst_codes, minlength=len(NODE_TYPES)).tolist()
     for node_type in types:
         code = _TYPE_CODE[node_type]
-        if not include_isolated and code not in present:
+        if not include_isolated and not present[code]:
             continue  # no receivers of this type: same as an empty recv
-        if code in present:
+        if present[code]:
             mask = dst_codes == code
             dst = edge_dst[mask]
             src = edge_src[mask]
@@ -815,10 +823,14 @@ def _stage_slices_vec(codes: np.ndarray, edge_src: np.ndarray,
         if include_isolated:
             recv = (type_rows or {}).get(node_type, _EMPTY_INDEX)
         else:
-            recv = np.unique(dst)
+            # Sorted distinct receivers: a node mask is cheaper than
+            # np.unique's sort at batch sizes.
+            hit = np.zeros(codes.size, dtype=bool)
+            hit[dst] = True
+            recv = hit.nonzero()[0]
         if recv.size == 0:
             continue
-        seg = np.searchsorted(recv, dst).astype(np.int64)
+        seg = recv.searchsorted(dst).astype(np.int64, copy=False)
         slices[node_type] = StageSlice(recv_rows=recv, edge_src=src,
                                        edge_seg=seg)
     return slices

@@ -28,6 +28,7 @@ from ..nn.autodiff import (_legacy_kernels_enabled,
                            flat_scatter_add as _flat_scatter_add,
                            gather_segment_sum, stacked_flat_scatter_add)
 from ..nn.losses import _loss_and_grad_arrays, _loss_arrays
+from ..nn.optim import FlatParameters
 from .features import Featurizer, NODE_TYPES
 from .graph import GraphBatch, StageSlice
 
@@ -294,9 +295,12 @@ class TrainableMemberStack(MemberStack):
     network.
 
     Where :class:`MemberStack` is a read-only inference snapshot, this
-    stack owns gradient-carrying parameter Tensors (``(1, fan_in,
-    fan_out)`` weight stacks, stepped in place by
-    :class:`repro.nn.Adam`) and runs the network's staged training step
+    stack owns gradient-carrying parameter Tensors: ``(1, fan_in,
+    fan_out)`` weight and ``(1, 1, fan_out)`` bias stacks that are views
+    of one flat :class:`repro.nn.FlatParameters` arena — one ``(P,)``
+    value buffer and one gradient buffer, so :class:`repro.nn.Adam`
+    steps every touched tensor with one update — and runs the network's
+    staged training step
     as one hand-written forward/backward per mini-batch
     (:meth:`loss_and_grad`): the stacked GEMMs of
     :meth:`repro.nn.StackedMLP.backward_array`, gathers, bincount
@@ -309,7 +313,9 @@ class TrainableMemberStack(MemberStack):
 
     Validation runs the inherited :meth:`MemberStack.forward_arrays`:
     the stacked weights are live aliases of the parameter Tensors, so
-    it always reads the current values.
+    it always reads the current values.  A node type absent from a
+    mini-batch leaves its encoder's and combiner's gradients untouched
+    (``grad`` stays ``None``), and that step skips them.
 
     Construction *copies* the network's current weights in (preserving
     its seed-derived initialization); the trainer writes them back
@@ -319,8 +325,14 @@ class TrainableMemberStack(MemberStack):
 
     def __init__(self, network: CostreamGNN):
         super().__init__([network], np.float64)
-        for mlp in self._stacked_mlps():
-            mlp.make_trainable()
+        mlps = list(self._stacked_mlps())
+        self._params = FlatParameters(
+            [array for mlp in mlps
+             for layer in zip(mlp.weights, mlp.biases) for array in layer])
+        first = 0
+        for mlp in mlps:
+            mlp.make_trainable(self._params, first)
+            first += 2 * len(mlp.weights)
         self._member_shapes = [param.data.shape
                                for param in network.parameters()]
 
@@ -330,11 +342,10 @@ class TrainableMemberStack(MemberStack):
         yield from self.combiners.values()
         yield self.readout
 
-    def parameters(self) -> list:
-        """Stacked parameter Tensors, ordered so index ``i`` stacks the
-        network's ``parameters()[i]``."""
-        return [param for mlp in self._stacked_mlps()
-                for param in mlp.trainable_parameters()]
+    def parameters(self) -> FlatParameters:
+        """The stacked parameter Tensors — one arena, ordered so index
+        ``i`` stacks the network's ``parameters()[i]``."""
+        return self._params
 
     def member_state(self) -> dict[str, np.ndarray]:
         """The member's parameters as a

@@ -17,7 +17,7 @@ import numpy as np
 from ..config import HardwareRanges, default_hardware_ranges
 
 __all__ = ["HardwareNode", "capability_score", "capability_bin",
-           "sample_node"]
+           "score_bin", "sample_node"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,13 @@ def capability_bin(node: HardwareNode,
     The paper bins hardware into three intersecting categories to
     emulate realistic edge -> fog -> cloud data-flow transitions.
     """
-    score = capability_score(node, ranges)
+    return score_bin(capability_score(node, ranges))
+
+
+def score_bin(score: float) -> int:
+    """The edge (0) / fog (1) / cloud (2) bin of a capability score —
+    the thresholds of :func:`capability_bin`, for callers that already
+    hold the score."""
     if score < 0.12:
         return 0
     if score < 0.35:

@@ -6,7 +6,7 @@ from .autodiff import (Tensor, concat, float32_inference, gather,
 from .backend import ComputeBackend, active_backend, compute_backend
 from .layers import MLP, Linear, Module, StackedMLP
 from .losses import bce_with_logits_loss, mse_loss, msle_loss
-from .optim import Adam, SGD, clip_grad_norm
+from .optim import Adam, FlatParameters, clip_grad_norm
 
 __all__ = [
     "Tensor", "concat", "gather", "scatter_rows", "segment_sum", "stack",
@@ -14,5 +14,5 @@ __all__ = [
     "ComputeBackend", "active_backend", "compute_backend",
     "Module", "Linear", "MLP", "StackedMLP",
     "msle_loss", "mse_loss", "bce_with_logits_loss",
-    "SGD", "Adam", "clip_grad_norm",
+    "Adam", "FlatParameters", "clip_grad_norm",
 ]

@@ -13,15 +13,6 @@ from . import init
 __all__ = ["Module", "Linear", "MLP", "StackedMLP"]
 
 
-def _accumulate_array(param: Tensor, grad: np.ndarray) -> None:
-    """Accumulate a raw gradient into ``param.grad`` exactly like
-    ``Tensor._accumulate`` (first touch copies, then ``+=``)."""
-    if param.grad is None:
-        param.grad = np.array(grad, dtype=np.float64)
-    else:
-        param.grad += grad
-
-
 class Module:
     """Base class: tracks parameters and sub-modules by attribute."""
 
@@ -255,35 +246,29 @@ class StackedMLP:
     # ------------------------------------------------------------------
     # Trainable stacks (the staged training step, one member)
     # ------------------------------------------------------------------
-    def make_trainable(self) -> "StackedMLP":
-        """Wrap the weight stacks in gradient-carrying Tensors.
+    def make_trainable(self, params, first: int) -> "StackedMLP":
+        """Run this stack on the arena Tensors ``params[first:first + 2
+        * n_layers]`` (a :class:`repro.nn.FlatParameters`, in
+        :meth:`MLP.parameters` order: ``layer0.weight, layer0.bias,
+        layer1.weight, ...``), whose values the caller copied from
+        :attr:`weights` / :attr:`biases`.
 
         After this call the stack is *live*: :attr:`weights` /
-        :attr:`biases` alias the Tensors' ``data`` arrays, so an
-        optimizer stepping the Tensors in place is immediately visible
-        to :meth:`forward_array` / :meth:`forward_array_cached`.
-        Training runs in float64 only — the dtype the members train in.
+        :attr:`biases` alias the Tensors' ``data`` views, so an
+        optimizer stepping the arena in place is immediately visible to
+        :meth:`forward_array` / :meth:`forward_array_cached`, and
+        :meth:`backward_array` accumulates into the arena's gradient
+        views.  Training runs in float64 only — the dtype the members
+        train in.
         """
         if self.dtype != np.float64:
             raise ValueError("trainable stacks are float64 only")
-        self.weight_params = [Tensor(w, requires_grad=True)
-                              for w in self.weights]
-        self.bias_params = [Tensor(b, requires_grad=True)
-                            for b in self.biases]
-        # Tensor() of a float64 array does not copy: keep the aliased
-        # arrays so forward reads the live parameter values.
-        self.weights = [p.data for p in self.weight_params]
-        self.biases = [p.data for p in self.bias_params]
+        stop = first + 2 * len(self.weights)
+        self._params = params
+        self._first = first
+        self.weights = [param.data for param in params[first:stop:2]]
+        self.biases = [param.data for param in params[first + 1:stop:2]]
         return self
-
-    def trainable_parameters(self) -> list[Tensor]:
-        """Stacked parameters in :meth:`MLP.parameters` order
-        (``layer0.weight, layer0.bias, layer1.weight, ...``)."""
-        params: list[Tensor] = []
-        for weight, bias in zip(self.weight_params, self.bias_params):
-            params.append(weight)
-            params.append(bias)
-        return params
 
     def forward_array_cached(self, x):
         """Like :meth:`forward_array`, returning the cache the stacked
@@ -306,8 +291,9 @@ class StackedMLP:
         ``_unbroadcast`` sum.  Activations cached from a *shared* 2-D
         input (the encoder case) produce the weight gradient through
         one broadcast ``np.matmul`` — again the same per-member GEMM.
-        Gradients accumulate into the trainable Tensors; the input
-        gradient is returned, or ``None`` with ``input_grad=False``.
+        Gradients accumulate into the arena Tensors of
+        :meth:`make_trainable`; the input gradient is returned, or
+        ``None`` with ``input_grad=False``.
         """
         kernel = active_backend()
         activations, masks = cache
@@ -315,10 +301,10 @@ class StackedMLP:
         for i in range(len(self.weights) - 1, -1, -1):
             act = activations[i]
             act_t = act.transpose(0, 2, 1) if act.ndim == 3 else act.T
-            _accumulate_array(self.weight_params[i],
-                              kernel.matmul(act_t, g))
-            _accumulate_array(self.bias_params[i],
-                              g.sum(axis=1, keepdims=True))
+            index = self._first + 2 * i
+            self._params.accumulate(index, kernel.matmul(act_t, g))
+            self._params.accumulate(index + 1,
+                                    g.sum(axis=1, keepdims=True))
             if i == 0 and not input_grad:
                 return None
             g = kernel.matmul(g, self.weights[i].transpose(0, 2, 1))

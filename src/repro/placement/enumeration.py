@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import HardwareRanges
 from ..hardware.cluster import Cluster
-from ..hardware.node import capability_score
+from ..hardware.node import capability_score, score_bin
 from ..hardware.placement import IndexCandidates, Placement
 from ..query.plan import QueryPlan
 
@@ -49,9 +49,11 @@ class HeuristicPlacementEnumerator:
         if tables is not None and tables[0] != version:
             tables = None
         if tables is None:
-            bins = cluster.bins(ranges)
+            # One score per node; the bins are derived from it.
             score = {n.node_id: capability_score(n, ranges)
                      for n in cluster.nodes}
+            bins = {node_id: score_bin(value)
+                    for node_id, value in score.items()}
             strongest = max(cluster.node_ids, key=score.get)
             # Bitmask tables for the sampling hot path: node i of
             # ``node_ids`` is bit ``1 << i``; visited sets become ints.

@@ -80,7 +80,10 @@ class BatchSchedule:
     # ------------------------------------------------------------------
     def train_batch(self, graphs: list[QueryGraph],
                     rows: np.ndarray) -> GraphBatch:
-        """The collated batch for ``rows`` of ``graphs``."""
+        """The collated batch for ``rows`` of ``graphs`` (repeats and
+        any order allowed): one :func:`~repro.core.graph.collate`,
+        whose cost is whole-batch array work over the graphs' cached
+        arrays, not a loop over the graphs."""
         return collate([graphs[i] for i in rows])
 
     def val_pairs(self, val_graphs, val_labels: np.ndarray,

@@ -8,7 +8,8 @@ the staged scheme the model's weights fold into a one-member
 one hand-written forward/backward
 (:meth:`~repro.core.model.TrainableMemberStack.loss_and_grad`),
 bitwise identical to the taped forward plus ``loss.backward()``, then
-:func:`repro.nn.clip_grad_norm` and one :class:`repro.nn.Adam` step.
+:func:`repro.nn.clip_grad_norm` and one :class:`repro.nn.Adam` step
+over the stack's flat parameter arena (normally one update call).
 The ``traditional`` scheme (the Exp 7b ablation) trains on the
 autodiff tape.
 """
@@ -74,8 +75,9 @@ def fit_cost_model(model: CostModel, graphs, labels: np.ndarray,
     """Train ``model``; its history appends to ``model.history``.
 
     Without a ``schedule`` the split and shuffles come from
-    ``BatchSchedule(model.seed)``.  Malformed inputs — an empty
-    training set, label and graph counts that disagree, ``val_graphs``
+    ``BatchSchedule(model.seed)``.  Malformed inputs — an ``epochs``
+    override or ``checkpoint_every`` below 1, an empty training set,
+    label and graph counts that disagree, ``val_graphs``
     without ``val_labels`` (or the reverse), fewer than 2 graphs
     without a validation set (the holdout would leave nothing to train
     on), a non-finite label, a negative ``msle`` label or a ``bce``
@@ -91,6 +93,11 @@ def fit_cost_model(model: CostModel, graphs, labels: np.ndarray,
     deterministically.
     """
     config = model.config
+    if epochs is not None and epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs!r}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, got "
+                         f"{checkpoint_every!r}")
     if not len(graphs):
         raise ValueError("cannot train on an empty training set")
     if (val_graphs is None) != (val_labels is None):
@@ -177,7 +184,7 @@ def fit_cost_model(model: CostModel, graphs, labels: np.ndarray,
                 arrays[f"param/{i}"] = param.data
             for key, value in best_state.items():
                 arrays[f"best/{key}"] = value
-            for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
+            for i, (m, v) in enumerate(optimizer.moments()):
                 arrays[f"adam_m/{i}"] = m
                 arrays[f"adam_v/{i}"] = v
             arrays["best_val"] = np.float64(best_val)
@@ -207,9 +214,9 @@ def fit_cost_model(model: CostModel, graphs, labels: np.ndarray,
                       for key in best_state}
         best_val = arrays["best_val"].item()
         optimizer._step = int(header["adam_step"])
-        for i in range(len(params)):
-            optimizer._m[i][:] = arrays[f"adam_m/{i}"]
-            optimizer._v[i][:] = arrays[f"adam_v/{i}"]
+        for i, (m, v) in enumerate(optimizer.moments()):
+            m[:] = arrays[f"adam_m/{i}"]
+            v[:] = arrays[f"adam_v/{i}"]
         epochs_since_best = int(header["epochs_since_best"])
         history.train_loss[:] = [float(x) for x in arrays["hist/train"]]
         history.val_loss[:] = [float(x) for x in arrays["hist/val"]]

@@ -9,8 +9,12 @@ query/cluster graphs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (Featurizer, build_graph, collate,
                         collate_candidates, collate_chunks,
@@ -100,6 +104,67 @@ class TestCollateEquivalence:
                                 range(0, len(graphs), 16)):
             assert_batches_equal(batch,
                                  collate_reference(graphs[start:start + 16]))
+
+
+def _index_arrays(batch: GraphBatch) -> list[np.ndarray]:
+    """Every index array of a batch."""
+    arrays = [batch.graph_id, *batch.type_rows.values()]
+    for slices in (batch.ops_to_hw, batch.hw_to_ops, *batch.flow_levels,
+                   batch.neighbor_rounds):
+        for stage in slices.values():
+            arrays += [stage.recv_rows, stage.edge_src, stage.edge_seg]
+    return arrays
+
+
+def _assert_same_dtypes(fast: GraphBatch, slow: GraphBatch) -> None:
+    """What :func:`assert_batches_equal` does not check: int64 indices
+    and the reference's feature dtypes."""
+    assert all(array.dtype == np.int64 for array in _index_arrays(fast))
+    for node_type, features in slow.type_features.items():
+        assert fast.type_features[node_type].dtype == features.dtype
+
+
+class TestCollateSweep:
+    """Generated batches: any graph count, index order and repeats, and
+    every featurization mode, field for field and dtype for dtype."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), n_graphs=st.integers(1, 24),
+           mode=st.sampled_from(["full", "placement_only", "query_only"]),
+           data=st.data())
+    def test_matches_reference(self, seed, n_graphs, mode, data):
+        graphs = _random_graphs(seed, n_graphs, mode)
+        order = data.draw(st.lists(st.integers(0, n_graphs - 1),
+                                   min_size=1, max_size=32))
+        batch = [graphs[i] for i in order]
+        fast, slow = collate(batch), collate_reference(batch)
+        assert_batches_equal(fast, slow)
+        _assert_same_dtypes(fast, slow)
+
+    @pytest.mark.parametrize("float32", [False, True])
+    def test_mixed_dtype_graphs(self, float32):
+        """Graphs featurized inside and outside ``float32_inference``
+        collate as if each graph were cast to the target dtype first."""
+        from repro.nn import float32_inference
+
+        graphs = _random_graphs(31, n_graphs=5)
+        with float32_inference():
+            graphs += _random_graphs(32, n_graphs=5)
+        batch = [graphs[i] for i in (7, 0, 3, 9, 1, 7, 5)]
+        slow = collate_reference(batch)
+        if float32:
+            with float32_inference():
+                fast = collate(batch)
+            slow = dataclasses.replace(slow, type_features={
+                node_type: features.astype(np.float32)
+                for node_type, features in slow.type_features.items()})
+        else:
+            fast = collate(batch)
+        assert_batches_equal(fast, slow)
+        _assert_same_dtypes(fast, slow)
+        expected = np.float32 if float32 else np.float64
+        assert all(features.dtype == expected
+                   for features in fast.type_features.values())
 
 
 class TestCollateCandidates:

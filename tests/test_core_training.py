@@ -240,6 +240,47 @@ class TestFitInputValidation:
         assert model.history.train_loss == []
 
 
+class TestRunArgumentValidation:
+    """An ``epochs`` override or a ``checkpoint_every`` below 1 raises
+    ``ValueError`` naming the argument before any draw, collation or
+    checkpoint — not a fit that trains nothing, a crash after a full
+    epoch, or a checkpoint every epoch."""
+
+    @pytest.fixture(scope="class")
+    def view(self, tiny_corpus):
+        return GraphDataset.from_traces(tiny_corpus[:40]) \
+            .metric_view("throughput")
+
+    @pytest.mark.parametrize("argument, value", [
+        ("epochs", 0), ("epochs", -3),
+        ("checkpoint_every", 0), ("checkpoint_every", -1)])
+    def test_rejected_before_training(self, view, tmp_path, argument,
+                                      value):
+        model = CostModel("throughput",
+                          TrainingConfig(hidden_dim=8, epochs=2))
+        initial = model.network.state_dict()
+        schedule = BatchSchedule(0)
+        checkpoint = tmp_path / "fit.ckpt"
+        with pytest.raises(ValueError,
+                           match=f"{argument} must be at least 1"):
+            model.fit(*view, schedule=schedule,
+                      checkpoint_path=checkpoint, **{argument: value})
+        assert schedule._split_order is None
+        assert not schedule._epoch_perms
+        assert model.history.train_loss == []
+        assert not checkpoint.exists()
+        for key, array in model.network.state_dict().items():
+            np.testing.assert_array_equal(array, initial[key])
+
+    def test_fine_tune_rejects_zero_epochs(self, view):
+        from repro.core.ensemble import MetricEnsemble
+
+        ensemble = MetricEnsemble("throughput", size=1,
+                                  config=TrainingConfig(hidden_dim=8))
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            ensemble.fine_tune(*view, epochs=0)
+
+
 class TestTrainingConfigValidation:
     """A value no run can train with raises at construction, naming
     the field — not deep inside collation or the first epoch, and not

@@ -213,3 +213,45 @@ class TestFoldedValidationForward:
             np.testing.assert_array_equal(
                 trainable.forward_arrays(batch),
                 inference.forward_arrays(batch))
+
+
+class TestFlatArena:
+    """The staged step's parameters, gradients and Adam state live in
+    flat buffers: no per-tensor gradient is allocated per step, and one
+    ``adam_update`` steps every touched tensor."""
+
+    def test_one_buffer_each_and_one_update_per_step(self, corpus_data):
+        from repro.core.graph import collate
+        from repro.nn import ComputeBackend, compute_backend
+
+        class Counting(ComputeBackend):
+            updates = 0
+
+            def adam_update(self, *args):
+                Counting.updates += 1
+                return super().adam_update(*args)
+
+        graphs, labels = corpus_data.metric_view("throughput")
+        model = CostModel("throughput", TrainingConfig(hidden_dim=12),
+                          seed=0)
+        stack = TrainableMemberStack(model.network)
+        params = stack.parameters()
+        optimizer = Adam(params, lr=1e-2)
+        assert optimizer._m.shape == optimizer._v.shape \
+            == optimizer._s1.shape == optimizer._s2.shape \
+            == params.data.shape == (params.data.size,)
+        for mlp in stack._stacked_mlps():
+            for array in mlp.weights + mlp.biases:
+                assert np.shares_memory(array, params.data)
+        batch = collate(graphs)
+        assert len(batch.type_rows) == 6  # every node type: all touched
+        for step in range(2):
+            optimizer.zero_grad()
+            assert all(param.grad is None for param in params)
+            stack.loss_and_grad(batch, labels, "msle")
+            for param, view in zip(params, params.grads):
+                assert param.grad is view
+                assert np.shares_memory(param.grad, params.grad)
+            with compute_backend(Counting()):
+                optimizer.step()
+            assert Counting.updates == step + 1
